@@ -392,21 +392,37 @@ def _build_llm_items(charts, args):
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _read_predictions(path: Path) -> dict:
+def _read_jsonl(path: Path, what: str):
+    """Yield (line number, row) for every non-blank line of a JSONL file;
+    a missing file or a line that is not a JSON object is a ConfigError."""
     if not path.is_file():
-        raise ConfigError(f"predictions file {path} does not exist")
-    preds: dict[str, str] = {}
-    for n, line in enumerate(path.read_text("utf-8").splitlines(), start=1):
+        raise ConfigError(f"{what} file {path} does not exist")
+    try:
+        lines = path.read_text("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}")
+    for n, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
             row = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}:{n}: not valid JSON: {exc}")
+        if not isinstance(row, dict):
+            raise ConfigError(f"{path}:{n}: expected a JSON object")
+        yield n, row
+
+
+def _read_predictions(path: Path) -> dict:
+    preds: dict[str, str] = {}
+    for n, row in _read_jsonl(path, "predictions"):
         if "qa_id" not in row or "prediction" not in row:
             raise ConfigError(
                 f"{path}:{n}: each row needs qa_id and prediction keys")
-        preds[str(row["qa_id"])] = str(row["prediction"])
+        qa_id = str(row["qa_id"])
+        if qa_id in preds:
+            raise ConfigError(f"{path}:{n}: repeats qa_id {qa_id!r}")
+        preds[qa_id] = str(row["prediction"])
     return preds
 
 
@@ -443,13 +459,8 @@ def cmd_evaluate(args) -> int:
 
 
 def _outcomes_from_file(path: Path):
-    if not path.is_file():
-        raise ConfigError(f"outcomes file {path} does not exist")
     scored = []
-    for n, line in enumerate(path.read_text("utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        row = json.loads(line)
+    for n, row in _read_jsonl(path, "outcomes"):
         try:
             outcome = EvalOutcome(
                 qa_id=row["qa_id"],
@@ -479,14 +490,9 @@ def cmd_report(args) -> int:
 
 def cmd_label(args) -> int:
     path = Path(args.pairs)
-    if not path.is_file():
-        raise ConfigError(f"pairs file {path} does not exist")
     accepted_rows = []
     review_rows = []
-    for n, line in enumerate(path.read_text("utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        row = json.loads(line)
+    for n, row in _read_jsonl(path, "pairs"):
         try:
             qa_id = row["qa_id"]
             answer_a = row["answer_a"]

@@ -17,7 +17,6 @@ import os
 import re
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -29,6 +28,7 @@ from .errors import (
     BudgetError,
     CapacityError,
     ConfigError,
+    StoreError,
     TemplateError,
     TransportError,
 )
@@ -219,7 +219,6 @@ class Gateway:
         budget: int | None = None,
         max_retries: int = 3,
         backoff_base: float = 0.25,
-        max_in_flight: int = 4,
         timeout: float = 60.0,
         transport=None,
         sleep=time.sleep,
@@ -229,7 +228,6 @@ class Gateway:
         self.budget = budget
         self.max_retries = max_retries
         self.backoff_base = backoff_base
-        self.max_in_flight = max_in_flight
         self.timeout = timeout
         self._transport = transport or self._http_post
         self._sleep = sleep
@@ -254,7 +252,14 @@ class Gateway:
         path = self._cache_path(request_hash)
         if not path.is_file():
             return None
-        return json.loads(path.read_text("utf-8"))
+        try:
+            entry = json.loads(path.read_text("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise StoreError(f"corrupt cache entry {path}: {exc}")
+        if not isinstance(entry, dict) or entry.get("request_hash") != request_hash:
+            raise StoreError(
+                f"cache entry {path} does not record request {request_hash}")
+        return entry
 
     def _write_cache(self, request_hash: str, entry: dict) -> None:
         path = self._cache_path(request_hash)
@@ -333,12 +338,6 @@ class Gateway:
         return GatewayResponse(
             text=text, request_hash=request_hash, cached=False,
             raw=response_body)
-
-    def chat_many(self, requests_: list[GatewayRequest]) -> list[GatewayResponse]:
-        if not requests_:
-            return []
-        with ThreadPoolExecutor(max_workers=self.max_in_flight) as pool:
-            return list(pool.map(self.chat, requests_))
 
 
 # ---------------------------------------------------------------------------

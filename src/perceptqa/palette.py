@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .errors import ConfigError
 
-# name -> (hex, hue_family)
+# name -> (hex, hue family)
 COLOR_LEXICON: dict[str, tuple[str, str]] = {
     "dark red": ("#8b0000", "red"),
     "light red": ("#f08080", "red"),
@@ -32,10 +32,6 @@ COLOR_LEXICON: dict[str, tuple[str, str]] = {
 
 COLOR_NAMES: tuple[str, ...] = tuple(COLOR_LEXICON)
 
-HUE_FAMILIES: tuple[str, ...] = tuple(
-    dict.fromkeys(family for _, family in COLOR_LEXICON.values())
-)
-
 # Fill patterns a bar series may carry on top of its color.
 PATTERNS: tuple[str, ...] = ("solid", "striped", "dotted")
 
@@ -43,13 +39,6 @@ PATTERNS: tuple[str, ...] = ("solid", "striped", "dotted")
 def color_hex(name: str) -> str:
     try:
         return COLOR_LEXICON[name][0]
-    except KeyError:
-        raise ConfigError(f"unknown color name: {name!r}") from None
-
-
-def hue_family(name: str) -> str:
-    try:
-        return COLOR_LEXICON[name][1]
     except KeyError:
         raise ConfigError(f"unknown color name: {name!r}") from None
 

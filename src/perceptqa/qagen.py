@@ -10,8 +10,11 @@ pattern   - series-level aggregates where a series is referenced only by
 extract   - named lookups composed through at least two operations, plus
             multiple-choice and true/false variants.
 
-Each generator enumerates its full candidate space deterministically,
-shuffles with the caller's seed, and keeps the first n candidates that
+Each family's candidate function enumerates its full candidate space
+deterministically and returns an empty list when the family does not fit
+the chart.  generate_items builds the four lists once per chart: their
+lengths cap the family-mix plan, and each planned family then shuffles
+its own list with a per-chart seed and keeps the first n candidates that
 survive validity checks (no ties, no division by zero, no answer leaked
 into the question text, no duplicate question on the chart).
 """
@@ -24,14 +27,8 @@ import re
 from dataclasses import dataclass, replace
 from decimal import Decimal
 
-from .charts import ChartSpec, UNIT_WORDS
-from .errors import (
-    CapacityError,
-    ConfigError,
-    InvariantError,
-    QueryError,
-    TemplateError,
-)
+from .charts import ChartSpec
+from .errors import ConfigError, InvariantError, QueryError, TemplateError
 from .numformat import canon_number, divide
 from .queries import (
     ByExtreme,
@@ -43,13 +40,21 @@ from .queries import (
     Node,
     Op,
     QuerySpec,
+    aggregate_values,
     evaluate,
     infer_answer_type,
     leaf_selectors,
     op_kinds,
     render_answer,
 )
-from .reasoning import ReasoningTrace, build_trace, trace_from_dict, trace_to_dict
+from .reasoning import (
+    _SIDES,
+    ReasoningTrace,
+    _ordinal,
+    build_trace,
+    trace_from_dict,
+    trace_to_dict,
+)
 from .render import GeometryMap, positional_rank
 
 FAMILY_NAMES = ("position", "length", "pattern", "extract")
@@ -149,18 +154,6 @@ def _shape(node: Node) -> str:
         return f"E[{type(node.selector).__name__}]"
     inner = ",".join(_shape(c) for c in node.children)
     return f"{node.kind}({inner})"
-
-
-_ORDINALS = ("first", "second", "third", "fourth", "fifth", "sixth",
-             "seventh", "eighth", "ninth", "tenth")
-
-
-def _ordinal(n: int) -> str:
-    return _ORDINALS[n - 1] if 1 <= n <= 10 else f"{n}th"
-
-
-_SIDES = {"from_top": "top", "from_bottom": "bottom",
-          "from_left": "left", "from_right": "right"}
 
 
 def _category_noun(spec: ChartSpec) -> str:
@@ -307,7 +300,7 @@ def _r_len_lookup(query, spec, geom, rng):
     ])
 
 
-def _len_row_suffix(query, spec) -> str:
+def _row_suffix(query, spec) -> str:
     for sel in leaf_selectors(query.root):
         if isinstance(sel, ByName) and sel.series is not None:
             return _series_suffix(sel, spec)
@@ -317,7 +310,7 @@ def _len_row_suffix(query, spec) -> str:
 def _r_len_argext(query, spec, geom, rng):
     word = "highest" if query.root.mode == "max" else "lowest"
     noun = _category_noun(spec)
-    sfx = _len_row_suffix(query, spec)
+    sfx = _row_suffix(query, spec)
     return _pick(rng, [
         f"Which {noun} records the {word} value{sfx}?",
         f"Which {noun} shows the {word} value{sfx}?",
@@ -327,7 +320,7 @@ def _r_len_argext(query, spec, geom, rng):
 def _r_len_rank(query, spec, geom, rng):
     word = "highest" if query.root.order == "desc" else "lowest"
     noun = _category_noun(spec)
-    sfx = _len_row_suffix(query, spec)
+    sfx = _row_suffix(query, spec)
     return f"Which {noun} has the {_ordinal(query.root.k)} {word} value{sfx}?"
 
 
@@ -349,7 +342,7 @@ def _threshold_bits(root: Op) -> tuple[str, str]:
 def _r_count_threshold(query, spec, geom, rng):
     relword, bound = _threshold_bits(query.root)
     noun = _plural(_category_noun(spec))
-    sfx = _len_row_suffix(query, spec)
+    sfx = _row_suffix(query, spec)
     unit = _unit_suffix(spec)
     return _pick(rng, [
         f"How many {noun} show a value {relword} {bound}{unit}{sfx}?",
@@ -359,7 +352,7 @@ def _r_count_threshold(query, spec, geom, rng):
 
 
 def _r_len_spread(query, spec, geom, rng):
-    sfx = _len_row_suffix(query, spec)
+    sfx = _row_suffix(query, spec)
     return _pick(rng, [
         f"What is the difference between the highest and the lowest value{sfx}?",
         f"How far apart are the highest and the lowest values{sfx}?",
@@ -394,7 +387,7 @@ def _r_len_diff2(query, spec, geom, rng):
 
 def _r_len_rate(query, spec, geom, rng):
     most = "most" if query.root.mode == "max" else "least"
-    sfx = _len_row_suffix(query, spec)
+    sfx = _row_suffix(query, spec)
     return (f"Between which two consecutive years did the value change "
             f"the {most}{sfx}?")
 
@@ -469,16 +462,9 @@ def _r_pat_count_threshold(query, spec, geom, rng):
 
 # -- extract phrasings -------------------------------------------------------
 
-def _ext_series_suffix(query, spec) -> str:
-    for sel in leaf_selectors(query.root):
-        if isinstance(sel, ByName) and sel.series is not None:
-            return _series_suffix(sel, spec)
-    return ""
-
-
 def _r_ext_top_two(query, spec, geom, rng):
     noun = _plural(_category_noun(spec))
-    sfx = _ext_series_suffix(query, spec)
+    sfx = _row_suffix(query, spec)
     return _pick(rng, [
         f"What is the combined value of the two highest {noun}{sfx}?",
         f"What do the two highest {noun} add up to{sfx}?",
@@ -486,7 +472,7 @@ def _r_ext_top_two(query, spec, geom, rng):
 
 
 def _r_ext_mean_median(query, spec, geom, rng):
-    sfx = _ext_series_suffix(query, spec)
+    sfx = _row_suffix(query, spec)
     return (f"What is the absolute difference between the average and the "
             f"median value{sfx}?")
 
@@ -495,13 +481,13 @@ def _r_ext_quotient(query, spec, geom, rng):
     a = query.root.children[0].children[0].selector
     b = query.root.children[0].children[1].selector
     c = query.root.children[1].selector
-    sfx = _ext_series_suffix(query, spec)
+    sfx = _row_suffix(query, spec)
     return (f"How many times larger is the combined value of {a.category} "
             f"and {b.category} than the value of {c.category}{sfx}?")
 
 
 def _r_ext_ratio_extremes(query, spec, geom, rng):
-    sfx = _ext_series_suffix(query, spec)
+    sfx = _row_suffix(query, spec)
     return f"How many times larger is the highest value than the lowest{sfx}?"
 
 
@@ -552,10 +538,6 @@ _REALIZERS = {
     "Ratio(ArgExtreme(E[ByName]),ArgExtreme(E[ByName]))": _r_ext_ratio_extremes,
     "OneFourthNearest(Threshold(E[ByName]))": _r_ext_quarter,
 }
-
-
-def registered_shapes() -> tuple[str, ...]:
-    return tuple(sorted(_REALIZERS))
 
 
 # ---------------------------------------------------------------------------
@@ -724,23 +706,14 @@ def pattern_candidates(spec: ChartSpec, geom: GeometryMap) -> list[_Candidate]:
             return None
         return Extract(ByVisual(pattern=p))
 
-    def row_sum(si: int) -> Decimal:
-        return sum(table.values[si], Decimal(0))
-
-    def row_median(si: int) -> Decimal:
-        vals = sorted(table.values[si])
-        m = len(vals) // 2
-        if len(vals) % 2 == 1:
-            return vals[m]
-        return divide(vals[m - 1] + vals[m], Decimal(2))
-
-    def row_mean(si: int) -> Decimal:
-        return divide(row_sum(si), Decimal(len(table.values[si])))
+    sums = [aggregate_values("Sum", row) for row in table.values]
+    medians = [aggregate_values("Median", row) for row in table.values]
+    means = [aggregate_values("Mean", row) for row in table.values]
 
     for i in range(n):
         for j in range(i + 1, n):
-            hi, lo = (i, j) if row_sum(i) > row_sum(j) else (j, i)
-            if row_sum(hi) != row_sum(lo):
+            hi, lo = (i, j) if sums[i] > sums[j] else (j, i)
+            if sums[hi] != sums[lo]:
                 out.append(_Candidate(QuerySpec(
                     Op("Diff", (Op("Sum", (visual(hi),)),
                                 Op("Sum", (visual(lo),)))),
@@ -754,14 +727,14 @@ def pattern_candidates(spec: ChartSpec, geom: GeometryMap) -> list[_Candidate]:
                     out.append(_Candidate(QuerySpec(
                         Op("AbsDiff", (Op("Sum", (pa,)), Op("Sum", (pb,)))),
                         "pattern", "number")))
-            mhi, mlo = (i, j) if row_median(i) > row_median(j) else (j, i)
-            if row_median(mhi) != row_median(mlo):
+            mhi, mlo = (i, j) if medians[i] > medians[j] else (j, i)
+            if medians[mhi] != medians[mlo]:
                 out.append(_Candidate(QuerySpec(
                     Op("Diff", (Op("Median", (visual(mhi),)),
                                 Op("Median", (visual(mlo),)))),
                     "pattern", "number")))
-            ahi, alo = (i, j) if row_mean(i) > row_mean(j) else (j, i)
-            if row_mean(ahi) != row_mean(alo):
+            ahi, alo = (i, j) if means[i] > means[j] else (j, i)
+            if means[ahi] != means[alo]:
                 out.append(_Candidate(QuerySpec(
                     Op("Diff", (Op("Mean", (visual(ahi),)),
                                 Op("Mean", (visual(alo),)))),
@@ -793,14 +766,13 @@ def pattern_candidates(spec: ChartSpec, geom: GeometryMap) -> list[_Candidate]:
         legend_pairs.append((1, 2))
     for a, b in legend_pairs:
         la, lb = Extract(ByLegend(a)), Extract(ByLegend(b))
-        sa = row_sum(a - 1)
-        sb = row_sum(b - 1)
+        sa, sb = sums[a - 1], sums[b - 1]
         if sa != sb:
             hi, lo = (la, lb) if sa > sb else (lb, la)
             out.append(_Candidate(QuerySpec(
                 Op("Diff", (Op("Sum", (hi,)), Op("Sum", (lo,)))),
                 "pattern", "number")))
-        if row_median(a - 1) != row_median(b - 1):
+        if medians[a - 1] != medians[b - 1]:
             out.append(_Candidate(QuerySpec(
                 Op("AbsDiff", (Op("Median", (la,)), Op("Median", (lb,)))),
                 "pattern", "number")))
@@ -890,10 +862,6 @@ FAMILY_CANDIDATES = {
 }
 
 
-def family_capacity(spec: ChartSpec, geom: GeometryMap, family: str) -> int:
-    return len(FAMILY_CANDIDATES[family](spec, geom))
-
-
 # ---------------------------------------------------------------------------
 # item assembly
 
@@ -961,11 +929,10 @@ def _assemble(
     qa_id: str,
     rng: random.Random,
     taken: set[str],
-    skip_log: list[str] | None,
+    skip_log: list[str],
 ) -> QAItem | None:
     def skip(reason: str) -> None:
-        if skip_log is not None:
-            skip_log.append(f"{spec.chart_id} {cand.query.family}: {reason}")
+        skip_log.append(f"{spec.chart_id} {cand.query.family}: {reason}")
 
     query = cand.query
     try:
@@ -1015,8 +982,6 @@ def _assemble(
             question = f"Is the following statement true or false? {statement}"
         else:
             question = realize_question(query, spec, rng.randrange(2 ** 31), geom)
-    except TemplateError:
-        raise
     except QueryError as exc:
         skip(f"phrasing failed ({exc})")
         return None
@@ -1064,23 +1029,15 @@ def _generate(
     family: str,
     spec: ChartSpec,
     geom: GeometryMap,
+    candidates: list[_Candidate],
     n: int,
     seed: int,
-    taken: set[str] | None = None,
-    skip_log: list[str] | None = None,
-    strict: bool = True,
+    taken: set[str],
+    skip_log: list[str],
 ) -> list[QAItem]:
-    if n <= 0:
-        return []
-    candidates = FAMILY_CANDIDATES[family](spec, geom)
-    if strict and n > len(candidates):
-        raise CapacityError(
-            f"{spec.chart_id} supports at most {len(candidates)} "
-            f"{family} questions, {n} requested")
     rng = random.Random(seed)
     order = list(candidates)
     rng.shuffle(order)
-    taken = taken if taken is not None else set()
     items: list[QAItem] = []
     for cand in order:
         if len(items) == n:
@@ -1089,27 +1046,7 @@ def _generate(
         item = _assemble(spec, geom, cand, qa_id, rng, taken, skip_log)
         if item is not None:
             items.append(item)
-    if strict and len(items) < n:
-        raise CapacityError(
-            f"{spec.chart_id} yielded {len(items)} valid {family} questions "
-            f"out of {len(candidates)} candidates, {n} requested")
     return items
-
-
-def gen_position(spec, geom, n, seed, **kw) -> list[QAItem]:
-    return _generate("position", spec, geom, n, seed, **kw)
-
-
-def gen_length(spec, geom, n, seed, **kw) -> list[QAItem]:
-    return _generate("length", spec, geom, n, seed, **kw)
-
-
-def gen_pattern(spec, geom, n, seed, **kw) -> list[QAItem]:
-    return _generate("pattern", spec, geom, n, seed, **kw)
-
-
-def gen_extract(spec, geom, n, seed, **kw) -> list[QAItem]:
-    return _generate("extract", spec, geom, n, seed, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -1138,16 +1075,6 @@ def stable_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def feasible_families(spec: ChartSpec, geom: GeometryMap) -> set[str]:
-    out = {"extract"}
-    if spec.kind != "pie":
-        out.add("position")
-        out.add("length")
-    if spec.kind != "pie" and len(spec.table.series) >= 2 and spec.legend_visible:
-        out.add("pattern")
-    return out
-
-
 @dataclass
 class GenStats:
     emitted: dict
@@ -1160,7 +1087,8 @@ def generate_items(
     config: GenConfig | None = None,
 ) -> tuple[list[QAItem], GenStats]:
     """Generate questions across charts, steering the realized family mix
-    toward the configured weights while respecting per-chart feasibility."""
+    toward the configured weights while respecting each chart's candidate
+    counts."""
     config = config or GenConfig()
     config.validate()
     if not charts:
@@ -1176,14 +1104,11 @@ def generate_items(
     shortfall = 0
 
     for spec, geom in charts:
-        feasible = feasible_families(spec, geom)
-        caps = {
-            f: family_capacity(spec, geom, f)
-            for f in feasible
-        }
-        plan = {f: 0 for f in feasible}
+        pools = {f: FAMILY_CANDIDATES[f](spec, geom) for f in FAMILY_NAMES}
+        caps = {f: len(pool) for f, pool in pools.items() if pool}
+        plan = {f: 0 for f in caps}
         for _ in range(config.per_chart):
-            open_families = [f for f in feasible if plan[f] < caps[f]]
+            open_families = [f for f in caps if plan[f] < caps[f]]
             if not open_families:
                 shortfall += config.per_chart - sum(plan.values())
                 break
@@ -1201,9 +1126,8 @@ def generate_items(
             if not want:
                 continue
             got = _generate(
-                family, spec, geom, want,
-                stable_seed(config.seed, spec.chart_id, family),
-                taken=taken, skip_log=skips, strict=False,
+                family, spec, geom, pools[family], want,
+                stable_seed(config.seed, spec.chart_id, family), taken, skips,
             )
             items.extend(got)
             if len(got) < want:

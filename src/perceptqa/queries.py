@@ -310,6 +310,20 @@ def _compare(a: Decimal, b: Decimal, relation: str) -> bool:
     raise QueryError(f"unknown relation {relation!r}")
 
 
+def aggregate_values(kind: str, values) -> Decimal:
+    """Exact Sum, Mean or Median of a non-empty sequence of values."""
+    total = sum(values, Decimal(0))
+    if kind == "Sum":
+        return total
+    if kind == "Mean":
+        return divide(total, Decimal(len(values)))
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2 == 1:
+        return ordered[mid]
+    return divide(ordered[mid - 1] + ordered[mid], Decimal(2))
+
+
 def _eval_op(node: Op, spec: ChartSpec, geom: GeometryMap | None):
     kind = node.kind
 
@@ -323,16 +337,7 @@ def _eval_op(node: Op, spec: ChartSpec, geom: GeometryMap | None):
                 values.append(_scalar(got))
         if not values:
             raise QueryError(f"{kind} over an empty selection")
-        total = sum(values, Decimal(0))
-        if kind == "Sum":
-            return total
-        if kind == "Mean":
-            return divide(total, Decimal(len(values)))
-        ordered = sorted(values)
-        mid = len(ordered) // 2
-        if len(ordered) % 2 == 1:
-            return ordered[mid]
-        return divide(ordered[mid - 1] + ordered[mid], Decimal(2))
+        return aggregate_values(kind, values)
 
     if kind in ("Diff", "AbsDiff", "Product", "Quotient", "Ratio", "Compare"):
         if len(node.children) != 2:

@@ -270,21 +270,6 @@ def parse_trace(text: str, lexicon: dict | None = None) -> ReasoningTrace:
     return trace
 
 
-def extract_final(text: str) -> str | None:
-    """Best-effort pull of the final answer from a model's trace output.
-
-    Falls back to the last final-answer line anywhere in the text when
-    the full structure does not parse."""
-    trace, violations = validate_trace_text(text)
-    if trace is not None and not violations:
-        return trace.final
-    for line in reversed(text.splitlines()):
-        stripped = re.sub(r"^\d+\)\s*", "", line.strip())
-        if _FINAL_RE.match(stripped):
-            return _FINAL_RE.sub("", stripped).strip()
-    return None
-
-
 # ---------------------------------------------------------------------------
 # wire form
 

@@ -107,12 +107,6 @@ class GeometryMap:
     ticks: tuple[tuple[float, float], ...]  # (value, pixel)
     legend: tuple[LegendBox, ...]
 
-    def mark_at(self, series: int, category: int) -> Mark:
-        for m in self.marks:
-            if m.series == series and m.category == category:
-                return m
-        raise KeyError((series, category))
-
 
 def decode_mark_value(geom: GeometryMap, mark: Mark) -> float:
     """Recover a mark's value from recorded pixels and the axis scale."""

@@ -281,9 +281,6 @@ class Dataset:
     items: tuple          # all QAItems, family files concatenated
     review_rows: tuple
 
-    def items_for(self, family: str):
-        return tuple(i for i in self.items if i.family == family)
-
 
 def load_dataset(root: str | Path, verify: bool = True) -> Dataset:
     """Read a dataset directory back, verifying digests and split

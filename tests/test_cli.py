@@ -1,5 +1,6 @@
 """End-to-end command line behavior and exit codes."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -41,6 +42,16 @@ def test_build_dataset_runs_are_byte_identical(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert _tree_bytes(a) == _tree_bytes(b)
+
+
+def test_build_dataset_matches_golden_digest(tmp_path):
+    # moving these bytes on purpose means updating the pin and saying why
+    out = tmp_path / "golden"
+    assert main(["build-dataset", "--seed", "11", "--charts", "8",
+                 "--per-chart", "6", "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest()
+    assert digest == (
+        "6e050b9ced41640f3088641802b3c98413d932fda9bcfcff17a626f6b63b90b4")
 
 
 def test_build_dataset_output_shape(built):
@@ -164,6 +175,41 @@ def test_evaluate_validates_predictions_file(built, tmp_path, capsys):
                "--out", str(outcomes)])
     assert rc == 1
     assert "qa_id and prediction" in capsys.readouterr().err
+
+
+def test_evaluate_rejects_repeated_qa_id(built, tmp_path, capsys):
+    out, ds = built
+    preds = tmp_path / "preds.jsonl"
+    qa_id = ds.items[0].qa_id
+    _write_jsonl(preds, [{"qa_id": qa_id, "prediction": "1"},
+                         {"qa_id": ds.items[1].qa_id, "prediction": "2"},
+                         {"qa_id": qa_id, "prediction": "3"}])
+    rc = main(["evaluate", "--dataset", str(out), "--predictions", str(preds),
+               "--out", str(tmp_path / "outcomes.jsonl")])
+    assert rc == 1
+    assert f"{preds}:3: repeats qa_id {qa_id!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "report", "label"])
+@pytest.mark.parametrize("bad_line", [b'{"qa_id": ', b'["qa_id", "x"]',
+                                      b'{"qa_id": "\xff"}'])
+def test_malformed_jsonl_line_exits_1(built, tmp_path, capsys, command,
+                                      bad_line):
+    out, _ = built
+    bad = tmp_path / "input.jsonl"
+    bad.write_bytes(b"\n" + bad_line + b"\n")
+    argv = {
+        "evaluate": ["evaluate", "--dataset", str(out), "--predictions",
+                     str(bad), "--out", str(tmp_path / "o.jsonl")],
+        "report": ["report", "--outcomes", str(bad)],
+        "label": ["label", "--pairs", str(bad),
+                  "--accepted", str(tmp_path / "a.jsonl"),
+                  "--review", str(tmp_path / "r.jsonl")],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:")
+    assert err.count("\n") == 1
 
 
 def test_report_rerenders_evaluate_output(built, tmp_path, capsys):

@@ -12,6 +12,7 @@ from perceptqa.errors import (
     BudgetError,
     CapacityError,
     ConfigError,
+    StoreError,
     TemplateError,
     TransportError,
 )
@@ -243,13 +244,22 @@ def test_budget_counts_unique_network_calls(tmp_path):
     assert g.chat(_req(question="one")).cached
 
 
-def test_chat_many_preserves_order(tmp_path):
-    transport = ScriptedTransport(_ok("r"))
-    g, _ = _gateway(tmp_path, transport, max_in_flight=2)
-    reqs = [_req(question=f"q{i}") for i in range(5)]
-    out = g.chat_many(reqs)
-    assert [o.request_hash for o in out] == [r.request_hash for r in reqs]
-    assert g.chat_many([]) == []
+@pytest.mark.parametrize("damage", ["not json", "foreign hash"])
+def test_corrupt_cache_entry_is_a_store_error(tmp_path, damage):
+    g, _ = _gateway(tmp_path, ScriptedTransport(_ok("x")))
+    req = _req()
+    g.chat(req)
+    path = g._cache_path(req.request_hash)
+    if damage == "not json":
+        path.write_text('{"request_hash": "', "utf-8")
+    else:
+        other = json.loads(path.read_text("utf-8"))
+        other["request_hash"] = "0" * 64
+        path.write_text(json.dumps(other), "utf-8")
+    with pytest.raises(StoreError) as err:
+        g.chat(req)
+    assert str(path) in str(err.value)
+    assert "\n" not in str(err.value)
 
 
 def test_api_key_header(tmp_path, monkeypatch):

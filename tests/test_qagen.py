@@ -4,17 +4,11 @@ from collections import Counter
 import pytest
 
 from perceptqa.charts import sample_chart_spec
-from perceptqa.errors import CapacityError, ConfigError
+from perceptqa.errors import ConfigError
 from perceptqa.qagen import (
     DEFAULT_FAMILY_WEIGHTS,
     FAMILY_NAMES,
     GenConfig,
-    family_capacity,
-    feasible_families,
-    gen_extract,
-    gen_length,
-    gen_pattern,
-    gen_position,
     generate_items,
     item_from_dict,
     item_to_dict,
@@ -212,33 +206,15 @@ def test_operation_tags_cover_tree(batch):
         assert len(item.ops) <= max(1, len(kinds))
 
 
-def test_feasible_families_on_pie():
+def test_pie_charts_get_only_extract_items():
     pie = next(sample_chart_spec(s) for s in range(400)
                if sample_chart_spec(s).kind == "pie")
     _, geom = render_chart(pie)
-    families = feasible_families(pie, geom)
-    assert "extract" in families
-    assert "position" not in families
-    assert "length" not in families
-    assert "pattern" not in families
-
-
-def test_family_capacity_bounds_generation():
-    spec = sample_chart_spec(0)
-    _, geom = render_chart(spec)
-    for family in feasible_families(spec, geom):
-        assert family_capacity(spec, geom, family) > 0
-
-
-def test_strict_generation_enforces_capacity():
-    spec, geom = chart_pool(1)[0]
-    by_name = {"position": gen_position, "length": gen_length,
-               "pattern": gen_pattern, "extract": gen_extract}
-    family = sorted(feasible_families(spec, geom))[0]
-    cap = family_capacity(spec, geom, family)
-    with pytest.raises(CapacityError) as err:
-        by_name[family](spec, geom, cap + 1, seed=0)
-    assert str(cap) in str(err.value)
+    weights = tuple((f, 1.0) for f in FAMILY_NAMES)
+    items, _ = generate_items(
+        [(pie, geom)], GenConfig(per_chart=8, family_weights=weights, seed=0))
+    assert items
+    assert {i.family for i in items} == {"extract"}
 
 
 def test_shortfall_reported_when_charts_run_dry():

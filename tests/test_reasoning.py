@@ -10,7 +10,6 @@ from perceptqa.reasoning import (
     SubQuestion,
     build_trace,
     classify_subquestion,
-    extract_final,
     format_trace,
     infer_depends,
     parse_trace,
@@ -168,13 +167,6 @@ def test_no_final_answer():
 def test_parse_trace_raises_on_first_violation():
     with pytest.raises(TraceFormatError):
         parse_trace(VALID.replace("Question Phase:\n", ""))
-
-
-def test_extract_final_falls_back_to_last_marked_line():
-    broken = "preamble\n1) Final answer: 12\ntrailing chatter"
-    assert extract_final(broken) == "12"
-    assert extract_final(VALID) == "40"
-    assert extract_final("nothing here") is None
 
 
 # ---------------------------------------------------------------------------

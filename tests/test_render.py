@@ -51,12 +51,9 @@ def test_every_cell_has_a_mark():
     for seed in range(25):
         spec = sample_chart_spec(seed)
         _, geom = render_chart(spec)
-        for i in range(len(spec.table.series)):
-            for j in range(len(spec.table.categories)):
-                mark = geom.mark_at(i, j)
-                assert mark.series == i and mark.category == j
-        assert len(geom.marks) == (
-            len(spec.table.series) * len(spec.table.categories))
+        cells = [(i, j) for i in range(len(spec.table.series))
+                 for j in range(len(spec.table.categories))]
+        assert sorted((m.series, m.category) for m in geom.marks) == cells
 
 
 def test_bar_decode_recovers_values_within_one_pixel():

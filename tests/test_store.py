@@ -137,10 +137,6 @@ def test_write_then_load_round_trip(corpus, tmp_path):
     assert ({i.qa_id: item_to_dict(i) for i in ds.items}
             == {i.qa_id: item_to_dict(i) for i in items})
     assert ds.review_rows == ()
-    fams = {i.family for i in items}
-    for fam in fams:
-        assert all(i.family == fam for i in ds.items_for(fam))
-    assert sum(len(ds.items_for(f)) for f in fams) == len(items)
 
 
 def test_manifest_covers_every_written_file(corpus, tmp_path):
