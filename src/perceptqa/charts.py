@@ -11,6 +11,7 @@ import json
 import random
 from dataclasses import dataclass
 from decimal import Decimal
+from functools import cached_property
 
 from .errors import ConfigError, SpecValidationError
 from .numformat import jsonable, strip_decimal
@@ -117,7 +118,7 @@ class ChartSpec:
     legend_visible: bool
     seed: int
 
-    @property
+    @cached_property
     def is_temporal(self) -> bool:
         return all(_is_year(c) for c in self.table.categories)
 

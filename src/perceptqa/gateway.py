@@ -259,6 +259,10 @@ class Gateway:
         if not isinstance(entry, dict) or entry.get("request_hash") != request_hash:
             raise StoreError(
                 f"cache entry {path} does not record request {request_hash}")
+        if not isinstance(entry.get("response_text"), str):
+            raise StoreError(f"cache entry {path} lacks a response_text string")
+        if not isinstance(entry.get("response_body"), dict):
+            raise StoreError(f"cache entry {path} lacks a response_body object")
         return entry
 
     def _write_cache(self, request_hash: str, entry: dict) -> None:

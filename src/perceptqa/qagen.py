@@ -11,12 +11,13 @@ extract   - named lookups composed through at least two operations, plus
             multiple-choice and true/false variants.
 
 Each family's candidate function enumerates its full candidate space
-deterministically and returns an empty list when the family does not fit
-the chart.  generate_items builds the four lists once per chart: their
-lengths cap the family-mix plan, and each planned family then shuffles
-its own list with a per-chart seed and keeps the first n candidates that
-survive validity checks (no ties, no division by zero, no answer leaked
-into the question text, no duplicate question on the chart).
+deterministically as a CandidateSpace, empty when the family does not
+fit the chart; a candidate's query tree is built only when it is read.
+generate_items sizes the four spaces once per chart: their lengths cap
+the family-mix plan, and each planned family then shuffles the indices
+of its own space with a per-chart seed and keeps the first n candidates
+that survive validity checks (no ties, no division by zero, no answer
+leaked into the question text, no duplicate question on the chart).
 """
 
 from __future__ import annotations
@@ -24,8 +25,10 @@ from __future__ import annotations
 import hashlib
 import random
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from decimal import Decimal
+from functools import lru_cache
 
 from .charts import ChartSpec
 from .errors import ConfigError, InvariantError, QueryError, TemplateError
@@ -550,6 +553,36 @@ class _Candidate:
     target_truth: bool | None = None
 
 
+class CandidateSpace(Sequence):
+    """One family's candidates on one chart, in enumeration order.
+
+    Each entry is a recipe: the root op's kind, its already-built
+    children and parameters, the answer type and the item form.  The
+    query tree of candidate i is built only when space[i] is read, so
+    sizing and shuffling a space build none."""
+
+    def __init__(self, family: str):
+        self.family = family
+        self._recipes: list[tuple] = []
+
+    def add(self, kind: str, children: tuple[Node, ...],
+            answer_type: str = "number", form: str = "plain",
+            truth: bool | None = None, **params) -> None:
+        self._recipes.append((kind, children, params, answer_type, form, truth))
+
+    def add_root(self, root: Node, answer_type: str = "number") -> None:
+        """Add a plain candidate whose root node is already built."""
+        self._recipes.append((None, root, None, answer_type, "plain", None))
+
+    def __len__(self) -> int:
+        return len(self._recipes)
+
+    def __getitem__(self, index: int) -> _Candidate:
+        kind, children, params, answer_type, form, truth = self._recipes[index]
+        root = children if kind is None else Op(kind, children, **params)
+        return _Candidate(QuerySpec(root, self.family, answer_type), form, truth)
+
+
 def _row_node(series_name: str) -> Extract:
     return Extract(ByName(series=series_name))
 
@@ -578,125 +611,96 @@ def _thresholds(values: list[Decimal], limit: int = 3) -> list[Decimal]:
     return out[:limit]
 
 
-def position_candidates(spec: ChartSpec, geom: GeometryMap) -> list[_Candidate]:
+def position_candidates(spec: ChartSpec, geom: GeometryMap) -> CandidateSpace:
+    space = CandidateSpace("position")
     if spec.kind == "pie":
-        return []
+        return space
     axis = "row" if spec.kind == "horizontal_bar" else "column"
     directions = ROW_DIRS if axis == "row" else COL_DIRS
     n_cat = len(spec.table.categories)
-    selectors: list[tuple[ByPosition, str]] = []
+    leaves: list[Extract] = []
+    labels: list[str] = []
     for direction in directions:
         for rank in range(1, n_cat + 1):
-            sel = ByPosition(rank=rank, axis=axis, direction=direction)
-            label = positional_rank(geom, axis, direction, rank)
-            selectors.append((sel, label))
+            leaves.append(Extract(ByPosition(rank=rank, axis=axis,
+                                             direction=direction)))
+            labels.append(positional_rank(geom, axis, direction, rank))
 
     single = len(spec.table.series) == 1
-    out: list[_Candidate] = []
-    for i in range(len(selectors)):
-        for j in range(i + 1, len(selectors)):
-            (sa, la), (sb, lb) = selectors[i], selectors[j]
-            if la == lb:
+    # several series: each position stands for its all-series total; a
+    # single series has no totals, so the column loop below adds nothing
+    totals = [Op("Sum", (leaf,)) for leaf in leaves] if not single else []
+    for i in range(len(leaves)):
+        for j in range(i + 1, len(leaves)):
+            if labels[i] == labels[j]:
                 continue
-            pair = (Extract(sa), Extract(sb))
             if single:
+                pair = (leaves[i], leaves[j])
                 for kind in ("Diff", "AbsDiff", "Sum", "Ratio"):
-                    out.append(_Candidate(QuerySpec(
-                        Op(kind, pair), "position", "number")))
+                    space.add(kind, pair)
             else:
-                out.append(_Candidate(QuerySpec(
-                    Op("Diff", (Op("Sum", (pair[0],)), Op("Sum", (pair[1],)))),
-                    "position", "number")))
-    if not single:
-        for sel, _ in selectors:
-            out.append(_Candidate(QuerySpec(
-                Op("Sum", (Extract(sel),)), "position", "number")))
-            out.append(_Candidate(QuerySpec(
-                Op("Mean", (Extract(sel),)), "position", "number")))
-    return out
+                space.add("Diff", (totals[i], totals[j]))
+    for leaf, total in zip(leaves, totals):
+        space.add_root(total)
+        space.add("Mean", (leaf,))
+    return space
 
 
 ROW_DIRS = ("from_top", "from_bottom")
 COL_DIRS = ("from_left", "from_right")
 
 
-def length_candidates(spec: ChartSpec, geom: GeometryMap) -> list[_Candidate]:
+def length_candidates(spec: ChartSpec, geom: GeometryMap) -> CandidateSpace:
+    space = CandidateSpace("length")
     if spec.kind == "pie":
-        return []
+        return space
     table = spec.table
     single = len(table.series) == 1
-    out: list[_Candidate] = []
+    cats = table.categories
+    temporal = spec.is_temporal
+    label_type = "year" if temporal else "text"
 
     for si, series in enumerate(table.series):
         name = None if single else series.name
-        row_name = series.name
-        row = _row_node(row_name)
-        cats = table.categories
+        row = (_row_node(series.name),)
+        cells = [_cell(name, c) for c in cats]
 
-        for c in cats:
-            out.append(_Candidate(QuerySpec(
-                _cell(name, c), "length",
-                "number")))
+        for cell in cells:
+            space.add_root(cell)
         for mode in ("max", "min"):
-            atype = "year" if spec.is_temporal else "text"
-            out.append(_Candidate(QuerySpec(
-                Op("ArgExtreme", (row,), mode=mode), "length", atype)))
+            space.add("ArgExtreme", row, label_type, mode=mode)
         for k in (2, 3):
             if k <= len(cats):
-                atype = "year" if spec.is_temporal else "text"
-                out.append(_Candidate(QuerySpec(
-                    Op("Rank", (row,), k=k, order="desc"), "length", atype)))
+                space.add("Rank", row, label_type, k=k, order="desc")
         for a_i in range(len(cats)):
             for b_i in range(a_i + 1, len(cats)):
-                a, b = cats[a_i], cats[b_i]
-                out.append(_Candidate(QuerySpec(
-                    Op("Compare", (_cell(name, a), _cell(name, b)),
-                       relation="gt"),
-                    "length", "boolean")))
-                out.append(_Candidate(QuerySpec(
-                    Op("Sum", (_cell(name, a), _cell(name, b))),
-                    "length", "number")))
-                out.append(_Candidate(QuerySpec(
-                    Op("Ratio", (_cell(name, a), _cell(name, b))),
-                    "length", "number")))
-                if spec.is_temporal:
-                    out.append(_Candidate(QuerySpec(
-                        Op("Diff", (_cell(name, b), _cell(name, a))),
-                        "length", "number")))
-                else:
-                    out.append(_Candidate(QuerySpec(
-                        Op("Diff", (_cell(name, a), _cell(name, b))),
-                        "length", "number")))
+                pair = (cells[a_i], cells[b_i])
+                space.add("Compare", pair, "boolean", relation="gt")
+                space.add("Sum", pair)
+                space.add("Ratio", pair)
+                # later year first, so a temporal difference reads as change
+                space.add("Diff", pair[::-1] if temporal else pair)
         values = [table.values[si][j] for j in range(len(cats))]
         for t in _thresholds(values):
-            out.append(_Candidate(QuerySpec(
-                Op("Count", (Op("Threshold", (row,), relation="gt", value=t),)),
-                "length", "number")))
-        out.append(_Candidate(QuerySpec(
-            Op("Diff", (Op("ArgExtreme", (row,), mode="max"),
-                        Op("ArgExtreme", (row,), mode="min"))),
-            "length", "number")))
-        if spec.is_temporal and len(cats) >= 3:
+            space.add("Count", (Op("Threshold", row, relation="gt", value=t),))
+        space.add("Diff", (Op("ArgExtreme", row, mode="max"),
+                           Op("ArgExtreme", row, mode="min")))
+        if temporal and len(cats) >= 3:
             for mode in ("max", "min"):
-                out.append(_Candidate(QuerySpec(
-                    Op("RateOfChange", (row,), mode=mode), "length", "text")))
+                space.add("RateOfChange", row, "text", mode=mode)
 
     if single:
-        out.append(_Candidate(QuerySpec(
-            Op("Diff", (Extract(ByExtreme("max")), Extract(ByExtreme("min")))),
-            "length", "number")))
-    return out
+        space.add("Diff", (Extract(ByExtreme("max")), Extract(ByExtreme("min"))))
+    return space
 
 
-def pattern_candidates(spec: ChartSpec, geom: GeometryMap) -> list[_Candidate]:
+def pattern_candidates(spec: ChartSpec, geom: GeometryMap) -> CandidateSpace:
+    space = CandidateSpace("pattern")
     table = spec.table
     if spec.kind == "pie" or len(table.series) < 2 or not spec.legend_visible:
-        return []
-    out: list[_Candidate] = []
+        return space
     n = len(table.series)
-
-    def visual(si: int) -> Extract:
-        return Extract(ByVisual(color=table.series[si].color))
+    visual = [Extract(ByVisual(color=s.color)) for s in table.series]
 
     def pattern_leaf(si: int) -> Extract | None:
         p = table.series[si].pattern
@@ -709,44 +713,30 @@ def pattern_candidates(spec: ChartSpec, geom: GeometryMap) -> list[_Candidate]:
     sums = [aggregate_values("Sum", row) for row in table.values]
     medians = [aggregate_values("Median", row) for row in table.values]
     means = [aggregate_values("Mean", row) for row in table.values]
+    of = {kind: [Op(kind, (leaf,)) for leaf in visual]
+          for kind in ("Sum", "Median", "Mean")}
 
     for i in range(n):
         for j in range(i + 1, n):
             hi, lo = (i, j) if sums[i] > sums[j] else (j, i)
             if sums[hi] != sums[lo]:
-                out.append(_Candidate(QuerySpec(
-                    Op("Diff", (Op("Sum", (visual(hi),)),
-                                Op("Sum", (visual(lo),)))),
-                    "pattern", "number")))
-                out.append(_Candidate(QuerySpec(
-                    Op("Ratio", (Op("Sum", (visual(hi),)),
-                                 Op("Sum", (visual(lo),)))),
-                    "pattern", "number")))
+                space.add("Diff", (of["Sum"][hi], of["Sum"][lo]))
+                space.add("Ratio", (of["Sum"][hi], of["Sum"][lo]))
                 pa, pb = pattern_leaf(hi), pattern_leaf(lo)
                 if pa is not None and pb is not None:
-                    out.append(_Candidate(QuerySpec(
-                        Op("AbsDiff", (Op("Sum", (pa,)), Op("Sum", (pb,)))),
-                        "pattern", "number")))
+                    space.add("AbsDiff", (Op("Sum", (pa,)), Op("Sum", (pb,))))
             mhi, mlo = (i, j) if medians[i] > medians[j] else (j, i)
             if medians[mhi] != medians[mlo]:
-                out.append(_Candidate(QuerySpec(
-                    Op("Diff", (Op("Median", (visual(mhi),)),
-                                Op("Median", (visual(mlo),)))),
-                    "pattern", "number")))
+                space.add("Diff", (of["Median"][mhi], of["Median"][mlo]))
             ahi, alo = (i, j) if means[i] > means[j] else (j, i)
             if means[ahi] != means[alo]:
-                out.append(_Candidate(QuerySpec(
-                    Op("Diff", (Op("Mean", (visual(ahi),)),
-                                Op("Mean", (visual(alo),)))),
-                    "pattern", "number")))
+                space.add("Diff", (of["Mean"][ahi], of["Mean"][alo]))
 
     for si in range(n):
         values = list(table.values[si])
         for t in _thresholds(values, limit=2):
-            out.append(_Candidate(QuerySpec(
-                Op("Count", (Op("Threshold", (visual(si),),
-                                relation="gt", value=t),)),
-                "pattern", "number")))
+            space.add("Count", (Op("Threshold", (visual[si],),
+                                   relation="gt", value=t),))
 
     hues: dict[str, list[int]] = {}
     for si, s in enumerate(table.series):
@@ -754,12 +744,10 @@ def pattern_candidates(spec: ChartSpec, geom: GeometryMap) -> list[_Candidate]:
     for hue, members in sorted(hues.items()):
         if len(members) != 2:
             continue
-        leaves = tuple(visual(si) for si in members)
+        leaves = tuple(visual[si] for si in members)
         values = [v for si in members for v in table.values[si]]
         for t in _thresholds(values, limit=2):
-            out.append(_Candidate(QuerySpec(
-                Op("Count", (Op("Threshold", leaves, relation="gt", value=t),)),
-                "pattern", "number")))
+            space.add("Count", (Op("Threshold", leaves, relation="gt", value=t),))
 
     legend_pairs = [(1, n)]
     if n >= 3:
@@ -769,89 +757,64 @@ def pattern_candidates(spec: ChartSpec, geom: GeometryMap) -> list[_Candidate]:
         sa, sb = sums[a - 1], sums[b - 1]
         if sa != sb:
             hi, lo = (la, lb) if sa > sb else (lb, la)
-            out.append(_Candidate(QuerySpec(
-                Op("Diff", (Op("Sum", (hi,)), Op("Sum", (lo,)))),
-                "pattern", "number")))
+            space.add("Diff", (Op("Sum", (hi,)), Op("Sum", (lo,))))
         if medians[a - 1] != medians[b - 1]:
-            out.append(_Candidate(QuerySpec(
-                Op("AbsDiff", (Op("Median", (la,)), Op("Median", (lb,)))),
-                "pattern", "number")))
-    return out
+            space.add("AbsDiff", (Op("Median", (la,)), Op("Median", (lb,))))
+    return space
 
 
-def extract_candidates(spec: ChartSpec, geom: GeometryMap) -> list[_Candidate]:
+def extract_candidates(spec: ChartSpec, geom: GeometryMap) -> CandidateSpace:
+    space = CandidateSpace("extract")
     table = spec.table
     single = len(table.series) == 1
-    out: list[_Candidate] = []
 
     for si, series in enumerate(table.series):
         name = None if single else series.name
-        row = _row_node(series.name)
+        row = (_row_node(series.name),)
         cats = table.categories
         values = [table.values[si][j] for j in range(len(cats))]
         by_value = _sorted_row(spec, si)
 
-        top_two = QuerySpec(
-            Op("Sum", (Op("Rank", (row,), k=1, order="desc"),
-                       Op("Rank", (row,), k=2, order="desc"))),
-            "extract", "number")
-        out.append(_Candidate(top_two))
-        out.append(_Candidate(top_two, form="mcq"))
-
-        spread = QuerySpec(
-            Op("Diff", (Op("ArgExtreme", (row,), mode="max"),
-                        Op("ArgExtreme", (row,), mode="min"))),
-            "extract", "number")
-        out.append(_Candidate(spread))
-        out.append(_Candidate(spread, form="mcq"))
+        top_two = (Op("Rank", row, k=1, order="desc"),
+                   Op("Rank", row, k=2, order="desc"))
+        space.add("Sum", top_two)
+        space.add("Sum", top_two, form="mcq")
+        extremes = (Op("ArgExtreme", row, mode="max"),
+                    Op("ArgExtreme", row, mode="min"))
+        space.add("Diff", extremes)
+        space.add("Diff", extremes, form="mcq")
 
         for t in _thresholds(values):
-            out.append(_Candidate(QuerySpec(
-                Op("Count", (Op("Threshold", (row,), relation="gt", value=t),)),
-                "extract", "number")))
+            space.add("Count", (Op("Threshold", row, relation="gt", value=t),))
 
-        out.append(_Candidate(QuerySpec(
-            Op("AbsDiff", (Op("Mean", (row,)), Op("Median", (row,)))),
-            "extract", "number")))
-        out.append(_Candidate(QuerySpec(
-            Op("Ratio", (Op("ArgExtreme", (row,), mode="max"),
-                         Op("ArgExtreme", (row,), mode="min"))),
-            "extract", "number")))
+        space.add("AbsDiff", (Op("Mean", row), Op("Median", row)))
+        space.add("Ratio", extremes)
 
         if len(cats) >= 3:
             top_labels = [lbl for _, lbl in reversed(by_value)]
-            a, b = top_labels[0], top_labels[1]
+            top_sum = Op("Sum", (_cell(name, top_labels[0]),
+                                 _cell(name, top_labels[1])))
             for c_lbl in top_labels[2:4]:
-                q = QuerySpec(
-                    Op("Quotient", (Op("Sum", (_cell(name, a), _cell(name, b))),
-                                    _cell(name, c_lbl))),
-                    "extract", "number")
-                out.append(_Candidate(q))
-            out.append(_Candidate(QuerySpec(
-                Op("Quotient", (Op("Sum", (_cell(name, a), _cell(name, b))),
-                                _cell(name, top_labels[2]))),
-                "extract", "number"), form="mcq"))
+                space.add("Quotient", (top_sum, _cell(name, c_lbl)))
+            space.add("Quotient", (top_sum, _cell(name, top_labels[2])),
+                      form="mcq")
 
         if len(cats) >= 4:
             for t in _thresholds(values, limit=2):
                 above = [v for v in values if v > t]
                 if len(above) >= 3:
-                    out.append(_Candidate(QuerySpec(
-                        Op("OneFourthNearest",
-                           (Op("Threshold", (row,), relation="gt", value=t),)),
-                        "extract", "text")))
+                    space.add("OneFourthNearest",
+                              (Op("Threshold", row, relation="gt", value=t),),
+                              "text")
 
         if len(cats) >= 3:
             for k in range(min(4, len(cats) - 2)):
-                a, b = cats[k], cats[k + 1]
-                c_lbl = cats[k + 2]
-                out.append(_Candidate(QuerySpec(
-                    Op("Compare", (Op("Sum", (_cell(name, a), _cell(name, b))),
-                                   _cell(name, c_lbl)),
-                       relation="gt"),
-                    "extract", "boolean"),
-                    form="factcheck", target_truth=k % 2 == 0))
-    return out
+                pair_sum = Op("Sum", (_cell(name, cats[k]),
+                                      _cell(name, cats[k + 1])))
+                space.add("Compare", (pair_sum, _cell(name, cats[k + 2])),
+                          "boolean", form="factcheck", truth=k % 2 == 0,
+                          relation="gt")
+    return space
 
 
 FAMILY_CANDIDATES = {
@@ -868,18 +831,29 @@ FAMILY_CANDIDATES = {
 _LETTERS = ("A", "B", "C", "D")
 
 
+@lru_cache(maxsize=1024)
+def _text_leak_re(answer: str) -> re.Pattern:
+    # boundaries only where the answer edge is a word character, so
+    # labels ending in punctuation still register as leaks
+    left = r"\b" if re.match(r"\w", answer) else ""
+    right = r"\b" if re.search(r"\w$", answer) else ""
+    return re.compile(left + re.escape(answer) + right, re.IGNORECASE)
+
+
 def _leaks(answer: str, answer_type: str, question: str) -> bool:
     if answer_type in ("number", "year"):
-        return re.search(
-            rf"(?<![\d.]){re.escape(answer)}(?![\d.])", question) is not None
-    if answer_type in ("text",):
-        # boundaries only where the answer edge is a word character, so
-        # labels ending in punctuation still register as leaks
-        left = r"\b" if re.match(r"\w", answer) else ""
-        right = r"\b" if re.search(r"\w$", answer) else ""
-        return re.search(
-            left + re.escape(answer) + right, question,
-            re.IGNORECASE) is not None
+        # a hit counts only where no digit or point adjoins it, the
+        # characters [\d.] matches
+        start = question.find(answer)
+        while start != -1:
+            end = start + len(answer)
+            edges = question[start - 1:start] + question[end:end + 1]
+            if not any(ch == "." or ch.isdecimal() for ch in edges):
+                return True
+            start = question.find(answer, start + 1)
+        return False
+    if answer_type == "text":
+        return _text_leak_re(answer).search(question) is not None
     return False
 
 
@@ -935,8 +909,9 @@ def _assemble(
         skip_log.append(f"{spec.chart_id} {cand.query.family}: {reason}")
 
     query = cand.query
+    values: dict = {}  # every subtree's value, handed on to build_trace
     try:
-        value = evaluate(query.root, spec, geom)
+        value = evaluate(query.root, spec, geom, values)
     except QueryError as exc:
         skip(f"unanswerable ({exc})")
         return None
@@ -947,7 +922,7 @@ def _assemble(
             flipped = replace(query.root, relation="lt" if query.root.relation == "gt" else "gt")
             query = QuerySpec(flipped, query.family, query.answer_type)
             try:
-                value = evaluate(query.root, spec, geom)
+                value = evaluate(query.root, spec, geom, values)
             except QueryError as exc:
                 skip(f"unanswerable after flip ({exc})")
                 return None
@@ -987,7 +962,8 @@ def _assemble(
         return None
 
     try:
-        trace = build_trace(query, spec, geom, mcq_options=options)
+        trace = build_trace(query, spec, geom, mcq_options=options,
+                            values=values)
     except QueryError as exc:
         skip(f"trace failed ({exc})")
         return None
@@ -1029,21 +1005,23 @@ def _generate(
     family: str,
     spec: ChartSpec,
     geom: GeometryMap,
-    candidates: list[_Candidate],
+    space: CandidateSpace,
     n: int,
     seed: int,
     taken: set[str],
     skip_log: list[str],
 ) -> list[QAItem]:
     rng = random.Random(seed)
-    order = list(candidates)
+    # shuffle draws depend only on the length, so shuffling indices visits
+    # the candidates in the order a shuffled list of them would have
+    order = list(range(len(space)))
     rng.shuffle(order)
     items: list[QAItem] = []
-    for cand in order:
+    for index in order:
         if len(items) == n:
             break
         qa_id = f"{spec.chart_id}-{family}-{len(items) + 1:03d}"
-        item = _assemble(spec, geom, cand, qa_id, rng, taken, skip_log)
+        item = _assemble(spec, geom, space[index], qa_id, rng, taken, skip_log)
         if item is not None:
             items.append(item)
     return items

@@ -250,13 +250,20 @@ def _column_cells(table, cj: int) -> tuple[Cell, ...]:
 # ---------------------------------------------------------------------------
 # evaluator
 
-def evaluate(node: Node, spec: ChartSpec, geom: GeometryMap | None = None):
+def evaluate(node: Node, spec: ChartSpec, geom: GeometryMap | None = None,
+             values: dict | None = None):
+    """Evaluate a query tree.  When a dict is passed as values, the value
+    of every subtree evaluated is recorded in it, keyed by node, so a
+    trace built afterwards can look values up instead of recomputing."""
     if isinstance(node, Extract):
-        cells = resolve_cells(node.selector, spec, geom)
-        if not cells:
+        result = resolve_cells(node.selector, spec, geom)
+        if not result:
             raise UnresolvableSelectorError(f"selector matched nothing: {node.selector!r}")
-        return cells
-    return _eval_op(node, spec, geom)
+    else:
+        result = _eval_op(node, spec, geom, values)
+    if values is not None:
+        values[node] = result
+    return result
 
 
 def _scalar(value) -> Decimal:
@@ -275,10 +282,10 @@ def _cells(value) -> tuple[Cell, ...]:
     raise NonScalarError(f"expected cells, got {type(value).__name__}")
 
 
-def _gather_cells(node: Op, spec, geom) -> tuple[Cell, ...]:
+def _gather_cells(node: Op, spec, geom, values) -> tuple[Cell, ...]:
     out: list[Cell] = []
     for child in node.children:
-        out.extend(_cells(evaluate(child, spec, geom)))
+        out.extend(_cells(evaluate(child, spec, geom, values)))
     if not out:
         raise QueryError(f"{node.kind} over an empty selection")
     return tuple(out)
@@ -324,26 +331,26 @@ def aggregate_values(kind: str, values) -> Decimal:
     return divide(ordered[mid - 1] + ordered[mid], Decimal(2))
 
 
-def _eval_op(node: Op, spec: ChartSpec, geom: GeometryMap | None):
+def _eval_op(node: Op, spec: ChartSpec, geom: GeometryMap | None, values):
     kind = node.kind
 
     if kind in ("Sum", "Mean", "Median"):
-        values: list[Decimal] = []
+        operands: list[Decimal] = []
         for child in node.children:
-            got = evaluate(child, spec, geom)
+            got = evaluate(child, spec, geom, values)
             if isinstance(got, tuple):
-                values.extend(c.value for c in got)
+                operands.extend(c.value for c in got)
             else:
-                values.append(_scalar(got))
-        if not values:
+                operands.append(_scalar(got))
+        if not operands:
             raise QueryError(f"{kind} over an empty selection")
-        return aggregate_values(kind, values)
+        return aggregate_values(kind, operands)
 
     if kind in ("Diff", "AbsDiff", "Product", "Quotient", "Ratio", "Compare"):
         if len(node.children) != 2:
             raise QueryError(f"{kind} takes exactly two operands")
-        a = _scalar(evaluate(node.children[0], spec, geom))
-        b = _scalar(evaluate(node.children[1], spec, geom))
+        a = _scalar(evaluate(node.children[0], spec, geom, values))
+        b = _scalar(evaluate(node.children[1], spec, geom, values))
         if kind == "Diff":
             return a - b
         if kind == "AbsDiff":
@@ -361,30 +368,30 @@ def _eval_op(node: Op, spec: ChartSpec, geom: GeometryMap | None):
     if kind == "Threshold":
         if node.relation not in RELATIONS or node.value is None:
             raise QueryError("Threshold needs a relation and a constant")
-        cells = _gather_cells(node, spec, geom)
+        cells = _gather_cells(node, spec, geom, values)
         return tuple(c for c in cells if _compare(c.value, node.value, node.relation))
 
     if kind == "Count":
         cells: list[Cell] = []
         for child in node.children:
-            cells.extend(_cells(evaluate(child, spec, geom)))
+            cells.extend(_cells(evaluate(child, spec, geom, values)))
         return Decimal(len(cells))
 
     if kind == "Rank":
         if node.k is None or node.order is None:
             raise QueryError("Rank needs k and order")
-        cells = _gather_cells(node, spec, geom)
+        cells = _gather_cells(node, spec, geom, values)
         return (_rank_pick(cells, node.k, node.order),)
 
     if kind == "ArgExtreme":
         if node.mode not in ("max", "min"):
             raise QueryError("ArgExtreme needs mode max or min")
-        cells = _gather_cells(node, spec, geom)
+        cells = _gather_cells(node, spec, geom, values)
         order = "desc" if node.mode == "max" else "asc"
         return (_rank_pick(cells, 1, order),)
 
     if kind == "OneFourthNearest":
-        cells = _gather_cells(node, spec, geom)
+        cells = _gather_cells(node, spec, geom, values)
         total = sum((c.value for c in cells), Decimal(0))
         target = divide(total, Decimal(4))
         best: Cell | None = None
@@ -403,7 +410,7 @@ def _eval_op(node: Op, spec: ChartSpec, geom: GeometryMap | None):
     if kind == "RateOfChange":
         if node.mode not in ("max", "min"):
             raise QueryError("RateOfChange needs mode max or min")
-        cells = _gather_cells(node, spec, geom)
+        cells = _gather_cells(node, spec, geom, values)
         if len(cells) < 2:
             raise QueryError("RateOfChange needs at least two cells")
         deltas = [

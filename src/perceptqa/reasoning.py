@@ -96,9 +96,14 @@ def load_lexicon() -> dict:
     return lex
 
 
-@lru_cache(maxsize=4096)
-def _marker_re(marker: str) -> re.Pattern:
-    return re.compile(rf"\b{re.escape(marker)}\b", re.IGNORECASE)
+@lru_cache(maxsize=16)
+def _markers_re(markers: tuple[str, ...]) -> re.Pattern | None:
+    """One pattern that matches wherever any of the markers stands as
+    whole words; None for an empty marker list, which matches nothing."""
+    if not markers:
+        return None
+    alternation = "|".join(re.escape(m) for m in markers)
+    return re.compile(rf"\b(?:{alternation})\b", re.IGNORECASE)
 
 
 def classify_subquestion(text: str, lexicon: dict | None = None) -> str:
@@ -106,12 +111,10 @@ def classify_subquestion(text: str, lexicon: dict | None = None) -> str:
     (operates on values already read).  Logic markers take precedence;
     unmatched text defaults to logic."""
     lex = lexicon or load_lexicon()
-    for marker in lex["logic"]:
-        if _marker_re(marker).search(text):
-            return "logic"
-    for marker in lex["perception"]:
-        if _marker_re(marker).search(text):
-            return "perception"
+    for kind in ("logic", "perception"):
+        pattern = _markers_re(tuple(lex[kind]))
+        if pattern is not None and pattern.search(text):
+            return kind
     return "logic"
 
 
@@ -333,9 +336,10 @@ def _num(value: Decimal) -> str:
 
 
 class _TraceBuilder:
-    def __init__(self, spec: ChartSpec, geom: GeometryMap | None):
+    def __init__(self, spec: ChartSpec, geom: GeometryMap | None, values: dict):
         self.spec = spec
         self.geom = geom
+        self.values = values  # node -> evaluated value, filled on demand
         # row: (kind, question, answer, depends_on)
         self.rows: list[tuple[str, str, str, tuple[int, ...]]] = []
         self.leaf_refs: dict = {}
@@ -354,6 +358,12 @@ class _TraceBuilder:
         self.rows.append((kind, question, answer, deps))
         return index
 
+    def value(self, node: Node):
+        try:
+            return self.values[node]
+        except KeyError:
+            return evaluate(node, self.spec, self.geom, self.values)
+
     # -- perception leaves ---------------------------------------------------
 
     def prepare_leaves(self, node: Node) -> None:
@@ -367,14 +377,13 @@ class _TraceBuilder:
             self.prepare_leaves(child)
 
     def _emit_leaf(self, sel) -> int:
-        spec, geom = self.spec, self.geom
+        spec = self.spec
         multi = len(spec.table.series) > 1
 
         if isinstance(sel, ByExtreme):
             cells = [
-                c for i in range(len(spec.table.series))
-                for c in (evaluate(Extract(ByName(series=spec.table.series[i].name)),
-                                   spec, geom))
+                c for s in spec.table.series
+                for c in self.value(Extract(ByName(series=s.name)))
             ]
             q = ("What values do all series show across the categories?"
                  if multi else "What values are shown across the categories?")
@@ -382,7 +391,7 @@ class _TraceBuilder:
                 f"{_num(c.value)} for {self._cell_tag(c, multi)}" for c in cells)
             return self._add("perception", q, f"The chart shows {listed}.")
 
-        cells = evaluate(Extract(sel), spec, geom)
+        cells = self.value(Extract(sel))
         if isinstance(sel, ByName):
             if sel.series is not None and sel.category is not None:
                 c = cells[0]
@@ -463,15 +472,14 @@ class _TraceBuilder:
         else:
             q = (f"Which of the values from question {enum_ref} is the "
                  f"{_ordinal(sel.k)} {word}?")
-        cell = evaluate(Extract(sel), self.spec, self.geom)[0]
+        cell = self.value(Extract(sel))[0]
         a = f"The {word} of those is {_num(cell.value)}, for {cell.label}."
         ref = self._add("logic", q, a, deps=(enum_ref,))
         self.pick_refs[sel] = ref
         return ref
 
     def _visit_op(self, op: Op) -> int:
-        spec, geom = self.spec, self.geom
-        result = evaluate(op, spec, geom)
+        result = self.value(op)
         kind = op.kind
         idxs = [self.visit(c) for c in op.children]
         deps = tuple(sorted(set(idxs)))
@@ -545,8 +553,8 @@ class _TraceBuilder:
             relword = _CMP_WORDS[op.relation]
             q = (f"Is the answer to question {i} {relword} the answer to "
                  f"question {j}?")
-            a_val = evaluate(op.children[0], spec, geom)
-            b_val = evaluate(op.children[1], spec, geom)
+            a_val = self.value(op.children[0])
+            b_val = self.value(op.children[1])
             a_num = a_val[0].value if isinstance(a_val, tuple) else a_val
             b_num = b_val[0].value if isinstance(b_val, tuple) else b_val
             if result:
@@ -567,7 +575,8 @@ class _TraceBuilder:
             q = (f"Which of the values from {refs} lies closest to one "
                  f"quarter of their combined total?")
             cell = result[0]
-            total = evaluate(Op("Sum", op.children), spec, geom)
+            total = sum((c.value for child in op.children
+                         for c in self.value(child)), Decimal(0))
             target = divide(total, Decimal(4))
             a = (f"One quarter of the combined total {_num(total)} is "
                  f"{_num(target)}; the closest value is {_num(cell.value)}, "
@@ -582,18 +591,20 @@ def build_trace(
     spec: ChartSpec,
     geom: GeometryMap | None = None,
     mcq_options: tuple[tuple[str, str], ...] | None = None,
+    values: dict | None = None,
 ) -> ReasoningTrace:
     """Derive the gold reasoning trace for a query.
 
     The final solution line always carries the item's gold answer; for
     multiple-choice items an extra matching step maps the computed value
-    to its option letter."""
-    builder = _TraceBuilder(spec, geom)
+    to its option letter.  values may hold subtree values already
+    recorded by ``evaluate(query.root, spec, geom, values)``; whatever it
+    lacks is evaluated here and added to it."""
+    builder = _TraceBuilder(spec, geom, {} if values is None else values)
     builder.prepare_leaves(query.root)
     builder.visit(query.root)
 
-    value = evaluate(query.root, spec, geom)
-    final = render_answer(value)
+    final = render_answer(builder.value(query.root))
 
     if mcq_options is not None:
         hits = [letter for letter, text in mcq_options if text == final]

@@ -16,6 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_CEILING, ROUND_FLOOR
+from functools import cached_property
 
 from .charts import ChartSpec
 from .errors import QueryError, RenderError
@@ -107,6 +108,11 @@ class GeometryMap:
     ticks: tuple[tuple[float, float], ...]  # (value, pixel)
     legend: tuple[LegendBox, ...]
 
+    @cached_property
+    def _drawn_order(self) -> dict[str, tuple[str, ...]]:
+        # direction -> category labels in drawn order, filled by positional_rank
+        return {}
+
 
 def decode_mark_value(geom: GeometryMap, mark: Mark) -> float:
     """Recover a mark's value from recorded pixels and the axis scale."""
@@ -128,6 +134,7 @@ def positional_rank(geom: GeometryMap, axis: str, direction: str, rank: int) -> 
     """Resolve "the rank-th row/column from <direction>" to a category label.
 
     Works purely from mark anchors so the answer reflects what is drawn.
+    Each direction's order is sorted once per geometry and then reused.
     """
     if axis == "row":
         if geom.kind != "horizontal_bar":
@@ -146,17 +153,20 @@ def positional_rank(geom: GeometryMap, axis: str, direction: str, rank: int) -> 
     else:
         raise QueryError(f"unknown positional axis {axis!r}")
 
-    centers: dict[int, list[float]] = {}
-    for m in geom.marks:
-        centers.setdefault(m.category, []).append(m.anchor[coord])
-    ordered = sorted(
-        centers, key=lambda c: sum(centers[c]) / len(centers[c]),
-        reverse=reverse,
-    )
+    ordered = geom._drawn_order.get(direction)
+    if ordered is None:
+        centers: dict[int, list[float]] = {}
+        for m in geom.marks:
+            centers.setdefault(m.category, []).append(m.anchor[coord])
+        ordered = geom._drawn_order[direction] = tuple(
+            geom.categories[c] for c in sorted(
+                centers, key=lambda c: sum(centers[c]) / len(centers[c]),
+                reverse=reverse,
+            ))
     if not 1 <= rank <= len(ordered):
         raise QueryError(
             f"rank {rank} out of range 1..{len(ordered)} on {axis} axis")
-    return geom.categories[ordered[rank - 1]]
+    return ordered[rank - 1]
 
 
 # ---------------------------------------------------------------------------

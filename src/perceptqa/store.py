@@ -273,6 +273,45 @@ def write_dataset(
 # ---------------------------------------------------------------------------
 # loading
 
+# what parsing a malformed file or row raises, from the JSON decoder or
+# from the row readers indexing into the wrong shape
+_MALFORMED = (ValueError, KeyError, TypeError, AttributeError, IndexError,
+              ArithmeticError)
+
+
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise StoreError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def _parse(parse, text: str, path: Path, line: int | None = None):
+    """parse(text), with malformed input ending in a one-line StoreError
+    that names the file, and the line when given."""
+    try:
+        return parse(text)
+    except _MALFORMED as exc:
+        where = path if line is None else f"{path}:{line}"
+        raise StoreError(
+            f"{where}: malformed ({type(exc).__name__}: {exc})") from None
+
+
+def _json_object(text: str) -> dict:
+    row = json.loads(text)
+    if not isinstance(row, dict):
+        raise TypeError("expected a JSON object")
+    return row
+
+
+def _read_jsonl(path: Path, parse):
+    """Yield parse(line) for every non-blank line, naming path:line on
+    a malformed one."""
+    for n, line in enumerate(_read_text(path).splitlines(), start=1):
+        if line.strip():
+            yield _parse(parse, line, path, n)
+
+
 @dataclass(frozen=True)
 class Dataset:
     manifest: DatasetManifest
@@ -290,7 +329,8 @@ def load_dataset(root: str | Path, verify: bool = True) -> Dataset:
     manifest_path = root / MANIFEST_NAME
     if not manifest_path.is_file():
         raise StoreError(f"no {MANIFEST_NAME} under {root}")
-    manifest = manifest_from_dict(json.loads(manifest_path.read_text("utf-8")))
+    manifest = _parse(lambda text: manifest_from_dict(json.loads(text)),
+                      _read_text(manifest_path), manifest_path)
 
     if verify:
         for rel, expected in manifest.file_digests.items():
@@ -307,10 +347,10 @@ def load_dataset(root: str | Path, verify: bool = True) -> Dataset:
     geoms: dict[str, GeometryMap] = {}
     for path in sorted((root / CHART_DIR).glob("*.json")):
         if path.name.endswith(".geom.json"):
-            geom = loads_geom(path.read_text("utf-8"))
+            geom = _parse(loads_geom, _read_text(path), path)
             geoms[geom.chart_id] = geom
         else:
-            spec = loads_chart(path.read_text("utf-8"))
+            spec = _parse(loads_chart, _read_text(path), path)
             charts[spec.chart_id] = spec
 
     items: list[QAItem] = []
@@ -319,10 +359,8 @@ def load_dataset(root: str | Path, verify: bool = True) -> Dataset:
         if not path.is_file():
             continue
         count = 0
-        for line in path.read_text("utf-8").splitlines():
-            if not line.strip():
-                continue
-            item = item_from_dict(json.loads(line))
+        for item in _read_jsonl(
+                path, lambda line: item_from_dict(json.loads(line))):
             if item.family != fam:
                 raise StoreError(
                     f"{path.name} holds an item of family {item.family!r}")
@@ -339,9 +377,7 @@ def load_dataset(root: str | Path, verify: bool = True) -> Dataset:
     review_rows: list[dict] = []
     review_path = root / REVIEW_NAME
     if review_path.is_file():
-        for line in review_path.read_text("utf-8").splitlines():
-            if line.strip():
-                review_rows.append(json.loads(line))
+        review_rows.extend(_read_jsonl(review_path, _json_object))
 
     return Dataset(
         manifest=manifest,

@@ -54,6 +54,18 @@ def test_build_dataset_matches_golden_digest(tmp_path):
         "6e050b9ced41640f3088641802b3c98413d932fda9bcfcff17a626f6b63b90b4")
 
 
+def test_dense_build_matches_golden_digest(tmp_path):
+    # equal weights and 40 items a chart: all six chart kinds, planner
+    # shortfalls, and MCQ, fact-check, text and year answers
+    out = tmp_path / "dense"
+    assert main(["build-dataset", "--seed", "5", "--charts", "12",
+                 "--per-chart", "40", "--weights", "1,1,1,1",
+                 "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest()
+    assert digest == (
+        "b67bea327d56a6ed97a13072650c119f712b8d072ff03c8d5d9295b9e0b60158")
+
+
 def test_build_dataset_output_shape(built):
     out, ds = built
     assert sum(ds.manifest.counts.values()) == len(ds.items)

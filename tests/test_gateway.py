@@ -244,18 +244,27 @@ def test_budget_counts_unique_network_calls(tmp_path):
     assert g.chat(_req(question="one")).cached
 
 
-@pytest.mark.parametrize("damage", ["not json", "foreign hash"])
+@pytest.mark.parametrize("damage", ["not json", "foreign hash",
+                                    "no response", "text not a string",
+                                    "body not an object"])
 def test_corrupt_cache_entry_is_a_store_error(tmp_path, damage):
     g, _ = _gateway(tmp_path, ScriptedTransport(_ok("x")))
     req = _req()
     g.chat(req)
     path = g._cache_path(req.request_hash)
+    entry = json.loads(path.read_text("utf-8"))
     if damage == "not json":
         path.write_text('{"request_hash": "', "utf-8")
     else:
-        other = json.loads(path.read_text("utf-8"))
-        other["request_hash"] = "0" * 64
-        path.write_text(json.dumps(other), "utf-8")
+        if damage == "foreign hash":
+            entry["request_hash"] = "0" * 64
+        elif damage == "no response":
+            entry = {"request_hash": req.request_hash}
+        elif damage == "text not a string":
+            entry["response_text"] = ["x"]
+        else:
+            entry["response_body"] = "x"
+        path.write_text(json.dumps(entry), "utf-8")
     with pytest.raises(StoreError) as err:
         g.chat(req)
     assert str(path) in str(err.value)

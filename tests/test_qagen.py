@@ -7,8 +7,10 @@ from perceptqa.charts import sample_chart_spec
 from perceptqa.errors import ConfigError
 from perceptqa.qagen import (
     DEFAULT_FAMILY_WEIGHTS,
+    FAMILY_CANDIDATES,
     FAMILY_NAMES,
     GenConfig,
+    _leaks,
     generate_items,
     item_from_dict,
     item_to_dict,
@@ -245,3 +247,57 @@ def test_default_weights_pin_the_reference_mix():
     assert abs(weights["length"] - 31614 / 331969) < 1e-12
     assert abs(weights["pattern"] - 61268 / 331969) < 1e-12
     assert abs(weights["extract"] - 174411 / 331969) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# candidate spaces and the leak check
+
+@pytest.fixture(scope="module")
+def one_chart_per_kind():
+    found = {}
+    for seed in range(400):
+        spec = sample_chart_spec(seed)
+        if spec.kind not in found:
+            found[spec.kind] = (spec, render_chart(spec)[1])
+    assert len(found) == 6
+    return found
+
+
+def test_candidate_spaces_are_sized_without_building(one_chart_per_kind):
+    for kind, (spec, geom) in one_chart_per_kind.items():
+        for family in FAMILY_NAMES:
+            space = FAMILY_CANDIDATES[family](spec, geom)
+            built = [space[i] for i in range(len(space))]
+            assert len(set(built)) == len(space), (kind, family)
+            assert {c.query.family for c in built} <= {family}
+            again = FAMILY_CANDIDATES[family](spec, geom)
+            assert [again[i] for i in range(len(again))] == built
+            with pytest.raises(IndexError):
+                space[len(space)]
+
+
+@pytest.mark.parametrize("question, leaks", [
+    ("Is it 12 or more?", True),
+    ("12 at the start", True),
+    ("at the end 12", True),
+    ("(12)", True),
+    ("It was 112 then", False),
+    ("It was 1.2 then", False),
+    ("It was 12.5 then", False),
+    ("It was 12.", False),
+    ("Both 112 and 12 appear", True),
+])
+def test_numeric_leak_needs_a_whole_number(question, leaks):
+    assert _leaks("12", "number", question) is leaks
+    assert _leaks("12", "year", question) is leaks
+
+
+def test_text_leak_handles_punctuation_and_case():
+    assert _leaks("Q1.", "text", "Which sits above q1. on the chart?")
+    assert _leaks("A&B", "text", "How large is a&b overall?")
+    assert _leaks("Green (G/EFA)", "text", "Is green (g/efa) the largest?")
+    assert _leaks("north", "text", "Which bar is NORTH of the rest?")
+    assert not _leaks("north", "text", "Which bar is northern?")
+    assert not _leaks("Q1.", "text", "Is XQ1. the largest?")
+    # booleans are never checked against the question text
+    assert not _leaks("True", "boolean", "Is it True that it rose?")

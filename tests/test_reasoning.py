@@ -4,7 +4,17 @@ import pytest
 
 from perceptqa.charts import ChartSpec, DataTable, SeriesDescriptor, require_valid
 from perceptqa.errors import InvariantError, TraceFormatError
-from perceptqa.queries import ByExtreme, ByName, Extract, Op, QuerySpec, oracle_eval
+from perceptqa import reasoning
+from perceptqa.queries import (
+    ByExtreme,
+    ByName,
+    Extract,
+    Op,
+    QuerySpec,
+    evaluate,
+    iter_nodes,
+    oracle_eval,
+)
 from perceptqa.reasoning import (
     ReasoningTrace,
     SubQuestion,
@@ -12,6 +22,7 @@ from perceptqa.reasoning import (
     classify_subquestion,
     format_trace,
     infer_depends,
+    load_lexicon,
     parse_trace,
     trace_from_dict,
     trace_to_dict,
@@ -67,6 +78,44 @@ def test_classify_perception_and_logic():
         "What is the sum of the values from question 1?") == "logic"
     # unmatched text defaults to logic
     assert classify_subquestion("Summarize the chart") == "logic"
+
+
+@pytest.mark.parametrize("kind", ["logic", "perception"])
+def test_every_lexicon_marker_alone_gives_its_class(kind):
+    for marker in load_lexicon()[kind]:
+        assert classify_subquestion(f"Now {marker} here?") == kind, marker
+
+
+def test_logic_marker_wins_over_a_perception_marker():
+    lex = load_lexicon()
+    for logic in lex["logic"]:
+        for perception in lex["perception"]:
+            text = f"Which {perception} and which {logic}?"
+            assert classify_subquestion(text) == "logic", text
+
+
+def test_markers_match_whole_words_in_any_case():
+    # "ranks" is not "rank" and "summary" is not "sum"; no perception
+    # marker matches either, so both fall through to the default
+    assert classify_subquestion("Which ranks are drawn?") == "logic"
+    assert classify_subquestion("A summary follows") == "logic"
+    assert classify_subquestion("A shower of ranks") == "logic"
+    assert classify_subquestion("What is Shown For 2020?") == "perception"
+    assert classify_subquestion("Which bar RANKS first?") == "perception"
+    assert classify_subquestion("Which bar RANK is first?") == "logic"
+
+
+def test_custom_lexicon_is_honoured():
+    lex = {"version": 0, "logic": ["tally"], "perception": ["glance"]}
+    assert classify_subquestion("Take a glance", lex) == "perception"
+    assert classify_subquestion("Tally the glance", lex) == "logic"
+    # the default markers mean nothing under another lexicon
+    assert classify_subquestion("What value does the bar show?", lex) == "logic"
+    assert classify_subquestion("Take a glance") == "logic"
+    # a class with no markers matches nothing
+    empty = {"version": 0, "logic": [], "perception": ["glance"]}
+    assert classify_subquestion("Tally the glance", empty) == "perception"
+    assert classify_subquestion("Tally", empty) == "logic"
 
 
 def test_infer_depends_reads_back_references():
@@ -230,6 +279,26 @@ def test_built_trace_round_trips_and_matches_oracle(small_chart):
     assert len(again.subs) == len(trace.subs)
     assert [s.kind for s in again.subs] == [s.kind for s in trace.subs]
     assert again.final == trace.final
+
+
+def test_trace_reuses_recorded_subtree_values(small_chart, monkeypatch):
+    spec, geom = small_chart
+    row = Extract(ByName(series="S"))
+    query = QuerySpec(
+        Op("OneFourthNearest", (
+            Op("Threshold", (row,), relation="gt", value=Decimal(5)),)),
+        "extract", "text",
+    )
+    values = {}
+    assert evaluate(query.root, spec, geom, values) == values[query.root]
+    assert set(iter_nodes(query.root)) <= set(values)
+    fresh = build_trace(query, spec, geom)
+
+    def no_evaluate(*args, **kwargs):
+        raise AssertionError("a recorded value was evaluated again")
+
+    monkeypatch.setattr(reasoning, "evaluate", no_evaluate)
+    assert build_trace(query, spec, geom, values=values) == fresh
 
 
 def test_built_trace_emits_perception_rows_first(small_chart):

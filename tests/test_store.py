@@ -205,6 +205,40 @@ def test_load_checks_leakage_even_without_verify(corpus, tmp_path):
         load_dataset(root, verify=False)
 
 
+@pytest.mark.parametrize("row", ["{broken", "{}", "[1, 2]"])
+def test_malformed_family_line_is_a_one_line_store_error(corpus, tmp_path,
+                                                         row):
+    charts, items, test_ids = corpus
+    root = tmp_path / "ds"
+    _write(root, charts, items, test_ids)
+    path = root / "qa" / f"{items[0].family}.jsonl"
+    lines = path.read_text("utf-8").splitlines()
+    path.write_text("\n".join(lines + [row]) + "\n", "utf-8")
+    with pytest.raises(StoreError) as err:
+        load_dataset(root, verify=False)
+    assert str(err.value).startswith(f"{path}:{len(lines) + 1}: ")
+    assert "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize("victim", ["manifest.json", "chart", "geom",
+                                    "review_queue.jsonl"])
+def test_malformed_json_file_is_a_one_line_store_error(corpus, tmp_path,
+                                                       victim):
+    charts, items, test_ids = corpus
+    root = tmp_path / "ds"
+    _write(root, charts, items, test_ids)
+    path = {
+        "chart": next(p for p in (root / "charts").glob("*.json")
+                      if not p.name.endswith(".geom.json")),
+        "geom": next((root / "charts").glob("*.geom.json")),
+    }.get(victim, root / victim)
+    path.write_text('["not", "an", "object"]\n', "utf-8")
+    with pytest.raises(StoreError) as err:
+        load_dataset(root, verify=False)
+    assert str(err.value).startswith(str(path))
+    assert "\n" not in str(err.value)
+
+
 def test_load_requires_manifest(tmp_path):
     with pytest.raises(StoreError, match="manifest"):
         load_dataset(tmp_path)
