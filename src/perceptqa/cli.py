@@ -201,18 +201,31 @@ def _load_charts_dir(root: Path):
     return charts
 
 
-def _build_synthetic_items(charts, args):
-    config = GenConfig(
-        per_chart=args.per_chart,
-        family_weights=args.weights or DEFAULT_FAMILY_WEIGHTS,
-        seed=args.seed,
-    )
-    pairs = [(spec, geom) for spec, _, geom in charts]
-    items, stats = generate_items(pairs, config)
-    return items, stats
+def cmd_build_dataset(args) -> int:
+    """gen-qa and build-dataset: phrase questions for charts read from
+    --out (gen-qa) or sampled here (build-dataset), then write the dataset."""
+    _validate_gen_args(args)
+    if args.command == "gen-qa":
+        charts = _load_charts_dir(Path(args.out))
+        args.charts = len(charts)
+    else:
+        if args.charts is None:
+            raise ConfigError("--charts is required")
+        charts = _make_charts(args.seed, args.charts)
 
+    if args.mode == "llm":
+        items, review_rows = _build_llm_items(charts, args)
+    else:
+        items, stats = generate_items(
+            [(spec, geom) for spec, _, geom in charts],
+            GenConfig(per_chart=args.per_chart,
+                      family_weights=args.weights or DEFAULT_FAMILY_WEIGHTS,
+                      seed=args.seed))
+        review_rows = []
+        if stats.shortfall:
+            print(f"note: {stats.shortfall} requested items exceeded "
+                  f"chart capacity", file=sys.stderr)
 
-def _finish_dataset(args, charts, items, review_rows, command: str) -> int:
     out = Path(args.out)
     config = _config_dict(args)
     chart_ids = [spec.chart_id for spec, _, _ in charts]
@@ -228,42 +241,11 @@ def _finish_dataset(args, charts, items, review_rows, command: str) -> int:
         template_hashes=verify_templates() if args.mode == "llm" else {},
         review_rows=review_rows,
     )
-    _write_run_record(out, command, config, args.endpoint)
+    _write_run_record(out, args.command, config, args.endpoint)
     counts = " ".join(f"{fam}={manifest.counts[fam]}" for fam in FAMILY_NAMES)
     print(f"dataset {manifest.dataset_id}: {counts} "
           f"(train={manifest.train_size} test={manifest.test_size})")
     return 0
-
-
-def cmd_gen_qa(args) -> int:
-    _validate_gen_args(args)
-    charts = _load_charts_dir(Path(args.out))
-    args.charts = len(charts)
-    if args.mode == "llm":
-        items, review_rows = _build_llm_items(charts, args)
-    else:
-        items, stats = _build_synthetic_items(charts, args)
-        review_rows = []
-        if stats.shortfall:
-            print(f"note: {stats.shortfall} requested items exceeded "
-                  f"chart capacity", file=sys.stderr)
-    return _finish_dataset(args, charts, items, review_rows, "gen-qa")
-
-
-def cmd_build_dataset(args) -> int:
-    _validate_gen_args(args)
-    if args.charts is None:
-        raise ConfigError("--charts is required")
-    charts = _make_charts(args.seed, args.charts)
-    if args.mode == "llm":
-        items, review_rows = _build_llm_items(charts, args)
-    else:
-        items, stats = _build_synthetic_items(charts, args)
-        review_rows = []
-        if stats.shortfall:
-            print(f"note: {stats.shortfall} requested items exceeded "
-                  f"chart capacity", file=sys.stderr)
-    return _finish_dataset(args, charts, items, review_rows, "build-dataset")
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +544,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gen-qa",
                        help="generate questions for charts already on disk")
     _add_gen_options(p, needs_charts=False)
-    p.set_defaults(func=cmd_gen_qa)
+    p.set_defaults(func=cmd_build_dataset)
 
     p = sub.add_parser("build-dataset",
                        help="generate charts and questions in one run")

@@ -32,6 +32,7 @@ from .errors import (
     TemplateError,
     TransportError,
 )
+from .qagen import label_pattern
 from .reasoning import validate_trace_text
 from .render import GeometryMap
 
@@ -385,14 +386,6 @@ def _ordinal_rank(token: str) -> int:
     return int(re.sub(r"\D", "", token))
 
 
-def _label_pattern(label: str) -> str:
-    # word boundaries only apply where the label edge is a word character;
-    # labels like "Green (G/EFA)" end on punctuation and get none there
-    left = r"\b" if re.match(r"\w", label) else ""
-    right = r"\b" if re.search(r"\w$", label) else ""
-    return left + re.escape(label) + right
-
-
 def check_resolvable(question: str, spec: ChartSpec,
                      geom: GeometryMap) -> str | None:
     """Return a rejection reason, or None when every reference in the
@@ -416,7 +409,7 @@ def check_resolvable(question: str, spec: ChartSpec,
     names = [s.name for s in spec.table.series]
     known = set(spec.table.categories) | set(names)
     mentioned = [label for label in known if
-                 re.search(_label_pattern(label), question)]
+                 re.search(label_pattern(label), question)]
     has_position = bool(_POSITION_REF_RE.search(question))
     colors = {s.color.split(" ")[-1] for s in spec.table.series}
     has_visual = any(re.search(rf"\b{re.escape(c)}\b", question, re.IGNORECASE)

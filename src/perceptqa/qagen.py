@@ -46,6 +46,7 @@ from .queries import (
     aggregate_values,
     evaluate,
     infer_answer_type,
+    iter_nodes,
     leaf_selectors,
     op_kinds,
     render_answer,
@@ -58,7 +59,8 @@ from .reasoning import (
     trace_from_dict,
     trace_to_dict,
 )
-from .render import GeometryMap, positional_rank
+from .render import (COLUMN_DIRECTIONS, ROW_DIRECTIONS, GeometryMap,
+                     positional_rank)
 
 FAMILY_NAMES = ("position", "length", "pattern", "extract")
 
@@ -75,7 +77,6 @@ TAG_MAP = {
     "Sum": "addition",
     "Diff": "subtraction",
     "AbsDiff": "subtraction",
-    "Product": "multiplication",
     "Quotient": "division",
     "Ratio": "ratio",
     "Count": "counting",
@@ -159,50 +160,179 @@ def _shape(node: Node) -> str:
     return f"{node.kind}({inner})"
 
 
-def _category_noun(spec: ChartSpec) -> str:
-    if spec.is_temporal:
-        return "year"
-    if spec.kind == "horizontal_bar":
-        return "bar"
-    return "category"
+_UNIT_SUFFIXES = {"percent": "%", "minutes": " minutes"}
 
 
-def _plural(noun: str) -> str:
-    return noun + "s" if not noun.endswith("y") else noun[:-1] + "ies"
+def _leaf_phrase(sel, geom: GeometryMap | None) -> str | None:
+    if isinstance(sel, ByName):
+        return sel.category
+    if isinstance(sel, ByPosition):
+        noun = "bar" if sel.axis == "row" else "category"
+        label = positional_rank(geom, sel.axis, sel.direction, sel.rank)
+        return (f"the {_ordinal(sel.rank)} {noun} from the "
+                f"{_SIDES[sel.direction]} ({label})")
+    if isinstance(sel, ByVisual):
+        if sel.color and sel.pattern:
+            return f"the series shown in {sel.color} with the {sel.pattern} fill"
+        if sel.color:
+            return f"the series shown in {sel.color}"
+        return f"the {sel.pattern} series"
+    if isinstance(sel, ByLegend):
+        return f"the {_ordinal(sel.position)} series in the legend"
+    return None
 
 
-def _unit_suffix(spec: ChartSpec) -> str:
-    unit = spec.table.unit
-    if unit == "percent":
-        return "%"
-    if unit == "minutes":
-        return " minutes"
-    return ""
+def _slots(query: QuerySpec, spec: ChartSpec,
+           geom: GeometryMap | None) -> dict[str, str | None]:
+    """Everything a phrasing template can name.
+
+    a, b, c phrase the leaf selectors in tree order; sfx names the series
+    of the first named row on a multi-series chart; highest, most, kth and
+    greater read the root op; above, exceed, bound and hue read the first
+    Threshold in the tree."""
+    root = query.root
+    leaves, thr = [], None
+    for node in iter_nodes(root):
+        if isinstance(node, Extract):
+            leaves.append(node.selector)
+        elif thr is None and node.kind == "Threshold":
+            thr = node
+    noun = ("year" if spec.is_temporal
+            else "bar" if spec.kind == "horizontal_bar" else "category")
+    slots: dict[str, str | None] = {
+        "noun": noun,
+        "nouns": "categories" if noun == "category" else noun + "s",
+        "unit": _UNIT_SUFFIXES.get(spec.table.unit, ""),
+        "sfx": "",
+    }
+    for name, sel in zip("abc", leaves):
+        slots[name] = _leaf_phrase(sel, geom)
+    if len(spec.table.series) > 1:
+        for sel in leaves:
+            if isinstance(sel, ByName) and sel.series is not None:
+                slots["sfx"] = f" in the {sel.series} series"
+                break
+    if isinstance(root, Op):
+        slots["highest"] = ("highest" if root.mode == "max"
+                            or root.order == "desc" else "lowest")
+        slots["most"] = "most" if root.mode == "max" else "least"
+        slots["kth"] = _ordinal(root.k) if root.k else None
+        slots["greater"] = "greater" if root.relation == "gt" else "smaller"
+    if thr is not None:
+        above = thr.relation == "gt"
+        slots["above"] = "above" if above else "below"
+        slots["exceed"] = "exceed" if above else "stay below"
+        slots["bound"] = canon_number(thr.value)
+        first = leaf_selectors(thr)[0]
+        if isinstance(first, ByVisual) and first.color:
+            slots["hue"] = first.color.split()[-1]
+    return slots
 
 
-def _visual_phrase(sel: ByVisual) -> str:
-    if sel.color and sel.pattern:
-        return f"the series shown in {sel.color} with the {sel.pattern} fill"
-    if sel.color:
-        return f"the series shown in {sel.color}"
-    return f"the {sel.pattern} series"
+# shape -> phrasing variants; realize_question picks one with its own seed
+_PHRASINGS: dict[str, tuple[str, ...]] = {
+    # position
+    "Diff(E[ByPosition],E[ByPosition])": (
+        "What is the difference between the value of {a} and the value of {b}?",
+        "By how much does the value of {a} differ from the value of {b}?"),
+    "AbsDiff(E[ByPosition],E[ByPosition])": (
+        "What is the absolute difference between the values of {a} and {b}?",),
+    "Sum(E[ByPosition],E[ByPosition])": (
+        "What is the combined value of {a} and {b}?",
+        "What do the values of {a} and {b} add up to?"),
+    "Ratio(E[ByPosition],E[ByPosition])": (
+        "How many times larger is the value of {a} than the value of {b}?",),
+    "Sum(E[ByPosition])": (
+        "What is the total across all series for {a}?",
+        "Summed over every series, what value does {a} reach?"),
+    "Mean(E[ByPosition])": (
+        "What is the average value across the series for {a}?",),
+    "Diff(Sum(E[ByPosition]),Sum(E[ByPosition]))": (
+        "What is the difference between the all-series totals of {a} and {b}?",),
+    # length
+    "E[ByName]": (
+        "What value is recorded for {a}{sfx}?",
+        "What value does {a} show{sfx}?"),
+    "ArgExtreme(E[ByName])": (
+        "Which {noun} records the {highest} value{sfx}?",
+        "Which {noun} shows the {highest} value{sfx}?"),
+    "Rank(E[ByName])": (
+        "Which {noun} has the {kth} {highest} value{sfx}?",),
+    "Compare(E[ByName],E[ByName])": (
+        "Is the value for {a} {greater} than the value for {b}{sfx}?",),
+    "Count(Threshold(E[ByName]))": (
+        "How many {nouns} show a value {above} {bound}{unit}{sfx}?",
+        "How many {nouns} {exceed} {bound}{unit}{sfx}?"),
+    "Diff(ArgExtreme(E[ByName]),ArgExtreme(E[ByName]))": (
+        "What is the difference between the highest and the lowest value{sfx}?",
+        "How far apart are the highest and the lowest values{sfx}?"),
+    "Sum(E[ByName],E[ByName])": (
+        "What is the combined value of {a} and {b}{sfx}?",),
+    "Ratio(E[ByName],E[ByName])": (
+        "How many times larger is the value for {a} than the value for {b}{sfx}?",),
+    "Diff(E[ByName],E[ByName])": (
+        "What is the difference between the values of {a} and {b}{sfx}?",),
+    "RateOfChange(E[ByName])": (
+        "Between which two consecutive years did the value change the "
+        "{most}{sfx}?",),
+    "Diff(E[ByExtreme],E[ByExtreme])": (
+        "What is the difference between the highest and the lowest value "
+        "shown in the chart?",),
+    # pattern
+    "Diff(Sum(E[ByVisual]),Sum(E[ByVisual]))": (
+        "How much higher is the combined total of {a} than that of {b}?",
+        "By how much does the overall total of {a} exceed that of {b}?"),
+    "AbsDiff(Sum(E[ByVisual]),Sum(E[ByVisual]))": (
+        "What is the absolute difference between the combined totals of {a} "
+        "and {b}?",),
+    "Diff(Median(E[ByVisual]),Median(E[ByVisual]))": (
+        "By how much does the median value of {a} exceed the median value of "
+        "{b}?",),
+    "Diff(Mean(E[ByVisual]),Mean(E[ByVisual]))": (
+        "By how much does the average value of {a} exceed the average value of "
+        "{b}?",),
+    "Ratio(Sum(E[ByVisual]),Sum(E[ByVisual]))": (
+        "How many times larger is the combined total of {a} than that of {b}?",),
+    "Count(Threshold(E[ByVisual]))": (
+        "For how many categories does {a} record a value {above} {bound}{unit}?",),
+    "Count(Threshold(E[ByVisual],E[ByVisual]))": (
+        "How many of the values recorded by the series drawn in shades of "
+        "{hue} are {above} {bound}{unit}?",),
+    "Diff(Sum(E[ByLegend]),Sum(E[ByLegend]))": (
+        "How much higher is the combined total of {a} than that of {b}?",
+        "By how much does the overall total of {a} exceed that of {b}?"),
+    "AbsDiff(Median(E[ByLegend]),Median(E[ByLegend]))": (
+        "What is the absolute difference between the median values of {a} "
+        "and {b}?",),
+    # extract
+    "Sum(Rank(E[ByName]),Rank(E[ByName]))": (
+        "What is the combined value of the two highest {nouns}{sfx}?",
+        "What do the two highest {nouns} add up to{sfx}?"),
+    "AbsDiff(Mean(E[ByName]),Median(E[ByName]))": (
+        "What is the absolute difference between the average and the median "
+        "value{sfx}?",),
+    "Quotient(Sum(E[ByName],E[ByName]),E[ByName])": (
+        "How many times larger is the combined value of {a} and {b} than the "
+        "value of {c}{sfx}?",),
+    "Ratio(ArgExtreme(E[ByName]),ArgExtreme(E[ByName]))": (
+        "How many times larger is the highest value than the lowest{sfx}?",),
+    "OneFourthNearest(Threshold(E[ByName]))": (
+        "Among the {nouns} with values {above} {bound}{unit}, which one sits "
+        "closest to one quarter of their combined total?",),
+}
 
+# on a year axis, used when the named years run from latest to earliest
+_YEAR_PHRASINGS: dict[str, tuple[str, ...]] = {
+    "E[ByName]": (
+        "What value was recorded in {a}{sfx}?",
+        "What was the value in {a}{sfx}?"),
+    "Diff(E[ByName],E[ByName])": (
+        "How did the value change from {b} to {a}{sfx}?",),
+}
 
-def _legend_phrase(sel: ByLegend) -> str:
-    return f"the {_ordinal(sel.position)} series in the legend"
-
-
-def _position_phrase(sel: ByPosition, spec: ChartSpec, geom: GeometryMap) -> str:
-    noun = "bar" if sel.axis == "row" else "category"
-    label = positional_rank(geom, sel.axis, sel.direction, sel.rank)
-    return (f"the {_ordinal(sel.rank)} {noun} from the "
-            f"{_SIDES[sel.direction]} ({label})")
-
-
-def _series_suffix(sel: ByName, spec: ChartSpec) -> str:
-    if sel.series is not None and len(spec.table.series) > 1:
-        return f" in the {sel.series} series"
-    return ""
+# the fact-check form states Compare(Sum(E[ByName],E[ByName]),E[ByName])
+_STATEMENT = ("The combined value of {a} and {b} is {greater} than the value "
+              "of {c}{sfx}.")
 
 
 def realize_question(
@@ -214,333 +344,15 @@ def realize_question(
     Raises TemplateError when the query's shape has no registered
     phrasing; callers never get a half-filled template."""
     key = _shape(query.root)
-    realizer = _REALIZERS.get(key)
-    if realizer is None:
+    variants = _PHRASINGS.get(key)
+    if variants is None:
         raise TemplateError(f"no phrasing registered for shape {key}")
-    rng = random.Random(rng_seed)
-    return realizer(query, spec, geom, rng)
-
-
-def _pick(rng: random.Random, variants: list[str]) -> str:
-    return variants[rng.randrange(len(variants))]
-
-
-# -- position phrasings ------------------------------------------------------
-
-def _pos_pair(query, spec, geom, rng, patterns):
-    a, b = (c.selector for c in query.root.children
-            if isinstance(c, Extract)) if all(
-        isinstance(c, Extract) for c in query.root.children
-    ) else (None, None)
-    pa = _position_phrase(a, spec, geom)
-    pb = _position_phrase(b, spec, geom)
-    return _pick(rng, patterns).format(a=pa, b=pb)
-
-
-def _r_pos_diff(query, spec, geom, rng):
-    return _pos_pair(query, spec, geom, rng, [
-        "What is the difference between the value of {a} and the value of {b}?",
-        "By how much does the value of {a} differ from the value of {b}?",
-    ])
-
-
-def _r_pos_absdiff(query, spec, geom, rng):
-    return _pos_pair(query, spec, geom, rng, [
-        "What is the absolute difference between the values of {a} and {b}?",
-    ])
-
-
-def _r_pos_sum2(query, spec, geom, rng):
-    return _pos_pair(query, spec, geom, rng, [
-        "What is the combined value of {a} and {b}?",
-        "What do the values of {a} and {b} add up to?",
-    ])
-
-
-def _r_pos_ratio(query, spec, geom, rng):
-    return _pos_pair(query, spec, geom, rng, [
-        "How many times larger is the value of {a} than the value of {b}?",
-    ])
-
-
-def _r_pos_colsum(query, spec, geom, rng):
-    sel = query.root.children[0].selector
-    phrase = _position_phrase(sel, spec, geom)
-    return _pick(rng, [
-        f"What is the total across all series for {phrase}?",
-        f"Summed over every series, what value does {phrase} reach?",
-    ])
-
-
-def _r_pos_colmean(query, spec, geom, rng):
-    sel = query.root.children[0].selector
-    phrase = _position_phrase(sel, spec, geom)
-    return f"What is the average value across the series for {phrase}?"
-
-
-def _r_pos_coldiff(query, spec, geom, rng):
-    a = query.root.children[0].children[0].selector
-    b = query.root.children[1].children[0].selector
-    pa = _position_phrase(a, spec, geom)
-    pb = _position_phrase(b, spec, geom)
-    return (f"What is the difference between the all-series totals of "
-            f"{pa} and {pb}?")
-
-
-# -- length phrasings --------------------------------------------------------
-
-def _r_len_lookup(query, spec, geom, rng):
-    sel = query.root.selector
-    sfx = _series_suffix(sel, spec)
-    if spec.is_temporal:
-        return _pick(rng, [
-            f"What value was recorded in {sel.category}{sfx}?",
-            f"What was the value in {sel.category}{sfx}?",
-        ])
-    return _pick(rng, [
-        f"What value is recorded for {sel.category}{sfx}?",
-        f"What value does {sel.category} show{sfx}?",
-    ])
-
-
-def _row_suffix(query, spec) -> str:
-    for sel in leaf_selectors(query.root):
-        if isinstance(sel, ByName) and sel.series is not None:
-            return _series_suffix(sel, spec)
-    return ""
-
-
-def _r_len_argext(query, spec, geom, rng):
-    word = "highest" if query.root.mode == "max" else "lowest"
-    noun = _category_noun(spec)
-    sfx = _row_suffix(query, spec)
-    return _pick(rng, [
-        f"Which {noun} records the {word} value{sfx}?",
-        f"Which {noun} shows the {word} value{sfx}?",
-    ])
-
-
-def _r_len_rank(query, spec, geom, rng):
-    word = "highest" if query.root.order == "desc" else "lowest"
-    noun = _category_noun(spec)
-    sfx = _row_suffix(query, spec)
-    return f"Which {noun} has the {_ordinal(query.root.k)} {word} value{sfx}?"
-
-
-def _r_len_compare(query, spec, geom, rng):
-    a = query.root.children[0].selector
-    b = query.root.children[1].selector
-    word = {"gt": "greater", "lt": "smaller"}[query.root.relation]
-    sfx = _series_suffix(a, spec)
-    return (f"Is the value for {a.category} {word} than the value for "
-            f"{b.category}{sfx}?")
-
-
-def _threshold_bits(root: Op) -> tuple[str, str]:
-    thr = root.children[0]
-    relword = "above" if thr.relation == "gt" else "below"
-    return relword, canon_number(thr.value)
-
-
-def _r_count_threshold(query, spec, geom, rng):
-    relword, bound = _threshold_bits(query.root)
-    noun = _plural(_category_noun(spec))
-    sfx = _row_suffix(query, spec)
-    unit = _unit_suffix(spec)
-    return _pick(rng, [
-        f"How many {noun} show a value {relword} {bound}{unit}{sfx}?",
-        f"How many {noun} {'exceed' if relword == 'above' else 'stay below'} "
-        f"{bound}{unit}{sfx}?",
-    ])
-
-
-def _r_len_spread(query, spec, geom, rng):
-    sfx = _row_suffix(query, spec)
-    return _pick(rng, [
-        f"What is the difference between the highest and the lowest value{sfx}?",
-        f"How far apart are the highest and the lowest values{sfx}?",
-    ])
-
-
-def _r_len_sum2(query, spec, geom, rng):
-    a = query.root.children[0].selector
-    b = query.root.children[1].selector
-    sfx = _series_suffix(a, spec)
-    return f"What is the combined value of {a.category} and {b.category}{sfx}?"
-
-
-def _r_len_ratio2(query, spec, geom, rng):
-    a = query.root.children[0].selector
-    b = query.root.children[1].selector
-    sfx = _series_suffix(a, spec)
-    return (f"How many times larger is the value for {a.category} than the "
-            f"value for {b.category}{sfx}?")
-
-
-def _r_len_diff2(query, spec, geom, rng):
-    a = query.root.children[0].selector
-    b = query.root.children[1].selector
-    sfx = _series_suffix(a, spec)
-    if spec.is_temporal and int(a.category) > int(b.category):
-        return (f"How did the value change from {b.category} to "
-                f"{a.category}{sfx}?")
-    return (f"What is the difference between the values of {a.category} "
-            f"and {b.category}{sfx}?")
-
-
-def _r_len_rate(query, spec, geom, rng):
-    most = "most" if query.root.mode == "max" else "least"
-    sfx = _row_suffix(query, spec)
-    return (f"Between which two consecutive years did the value change "
-            f"the {most}{sfx}?")
-
-
-def _r_len_extreme_spread(query, spec, geom, rng):
-    return "What is the difference between the highest and the lowest value shown in the chart?"
-
-
-# -- pattern phrasings -------------------------------------------------------
-
-def _pattern_leaf_phrase(node: Node) -> str:
-    sel = node.children[0].selector if isinstance(node, Op) else node.selector
-    if isinstance(sel, ByVisual):
-        return _visual_phrase(sel)
-    if isinstance(sel, ByLegend):
-        return _legend_phrase(sel)
-    raise TemplateError(f"pattern phrasing got selector {sel!r}")
-
-
-def _r_pat_diff_sum(query, spec, geom, rng):
-    a = _pattern_leaf_phrase(query.root.children[0])
-    b = _pattern_leaf_phrase(query.root.children[1])
-    return _pick(rng, [
-        f"How much higher is the combined total of {a} than that of {b}?",
-        f"By how much does the overall total of {a} exceed that of {b}?",
-    ])
-
-
-def _r_pat_absdiff_sum(query, spec, geom, rng):
-    a = _pattern_leaf_phrase(query.root.children[0])
-    b = _pattern_leaf_phrase(query.root.children[1])
-    return (f"What is the absolute difference between the combined totals "
-            f"of {a} and {b}?")
-
-
-def _r_pat_diff_median(query, spec, geom, rng):
-    a = _pattern_leaf_phrase(query.root.children[0])
-    b = _pattern_leaf_phrase(query.root.children[1])
-    return (f"By how much does the median value of {a} exceed the median "
-            f"value of {b}?")
-
-
-def _r_pat_diff_mean(query, spec, geom, rng):
-    a = _pattern_leaf_phrase(query.root.children[0])
-    b = _pattern_leaf_phrase(query.root.children[1])
-    return (f"By how much does the average value of {a} exceed the average "
-            f"value of {b}?")
-
-
-def _r_pat_ratio_sum(query, spec, geom, rng):
-    a = _pattern_leaf_phrase(query.root.children[0])
-    b = _pattern_leaf_phrase(query.root.children[1])
-    return (f"How many times larger is the combined total of {a} than "
-            f"that of {b}?")
-
-
-def _r_pat_count_threshold(query, spec, geom, rng):
-    thr = query.root.children[0]
-    relword = "above" if thr.relation == "gt" else "below"
-    bound = canon_number(thr.value)
-    unit = _unit_suffix(spec)
-    leaves = [c.selector for c in thr.children]
-    if len(leaves) == 1:
-        phrase = (_visual_phrase(leaves[0]) if isinstance(leaves[0], ByVisual)
-                  else _legend_phrase(leaves[0]))
-        return (f"For how many categories does {phrase} record a value "
-                f"{relword} {bound}{unit}?")
-    hue = leaves[0].color.split()[-1]
-    return (f"How many of the values recorded by the series drawn in shades "
-            f"of {hue} are {relword} {bound}{unit}?")
-
-
-# -- extract phrasings -------------------------------------------------------
-
-def _r_ext_top_two(query, spec, geom, rng):
-    noun = _plural(_category_noun(spec))
-    sfx = _row_suffix(query, spec)
-    return _pick(rng, [
-        f"What is the combined value of the two highest {noun}{sfx}?",
-        f"What do the two highest {noun} add up to{sfx}?",
-    ])
-
-
-def _r_ext_mean_median(query, spec, geom, rng):
-    sfx = _row_suffix(query, spec)
-    return (f"What is the absolute difference between the average and the "
-            f"median value{sfx}?")
-
-
-def _r_ext_quotient(query, spec, geom, rng):
-    a = query.root.children[0].children[0].selector
-    b = query.root.children[0].children[1].selector
-    c = query.root.children[1].selector
-    sfx = _row_suffix(query, spec)
-    return (f"How many times larger is the combined value of {a.category} "
-            f"and {b.category} than the value of {c.category}{sfx}?")
-
-
-def _r_ext_ratio_extremes(query, spec, geom, rng):
-    sfx = _row_suffix(query, spec)
-    return f"How many times larger is the highest value than the lowest{sfx}?"
-
-
-def _r_ext_quarter(query, spec, geom, rng):
-    thr = query.root.children[0]
-    relword = "above" if thr.relation == "gt" else "below"
-    bound = canon_number(thr.value)
-    unit = _unit_suffix(spec)
-    noun = _plural(_category_noun(spec))
-    return (f"Among the {noun} with values {relword} {bound}{unit}, which "
-            f"one sits closest to one quarter of their combined total?")
-
-
-_REALIZERS = {
-    "Diff(E[ByPosition],E[ByPosition])": _r_pos_diff,
-    "AbsDiff(E[ByPosition],E[ByPosition])": _r_pos_absdiff,
-    "Sum(E[ByPosition],E[ByPosition])": _r_pos_sum2,
-    "Ratio(E[ByPosition],E[ByPosition])": _r_pos_ratio,
-    "Sum(E[ByPosition])": _r_pos_colsum,
-    "Mean(E[ByPosition])": _r_pos_colmean,
-    "Diff(Sum(E[ByPosition]),Sum(E[ByPosition]))": _r_pos_coldiff,
-    "E[ByName]": _r_len_lookup,
-    "ArgExtreme(E[ByName])": _r_len_argext,
-    "Rank(E[ByName])": _r_len_rank,
-    "Compare(E[ByName],E[ByName])": _r_len_compare,
-    "Count(Threshold(E[ByName]))": _r_count_threshold,
-    "Diff(ArgExtreme(E[ByName]),ArgExtreme(E[ByName]))": _r_len_spread,
-    "Sum(E[ByName],E[ByName])": _r_len_sum2,
-    "Ratio(E[ByName],E[ByName])": _r_len_ratio2,
-    "Diff(E[ByName],E[ByName])": _r_len_diff2,
-    "RateOfChange(E[ByName])": _r_len_rate,
-    "Diff(E[ByExtreme],E[ByExtreme])": _r_len_extreme_spread,
-    "Diff(Sum(E[ByVisual]),Sum(E[ByVisual]))": _r_pat_diff_sum,
-    "AbsDiff(Sum(E[ByVisual]),Sum(E[ByVisual]))": _r_pat_absdiff_sum,
-    "Diff(Median(E[ByVisual]),Median(E[ByVisual]))": _r_pat_diff_median,
-    "Diff(Mean(E[ByVisual]),Mean(E[ByVisual]))": _r_pat_diff_mean,
-    "Ratio(Sum(E[ByVisual]),Sum(E[ByVisual]))": _r_pat_ratio_sum,
-    "Count(Threshold(E[ByVisual]))": _r_pat_count_threshold,
-    "Count(Threshold(E[ByVisual],E[ByVisual]))": _r_pat_count_threshold,
-    "Diff(Sum(E[ByLegend]),Sum(E[ByLegend]))": _r_pat_diff_sum,
-    "AbsDiff(Median(E[ByLegend]),Median(E[ByLegend]))": lambda q, s, g, r: (
-        f"What is the absolute difference between the median values of "
-        f"{_pattern_leaf_phrase(q.root.children[0])} and "
-        f"{_pattern_leaf_phrase(q.root.children[1])}?"),
-    "Sum(Rank(E[ByName]),Rank(E[ByName]))": _r_ext_top_two,
-    "AbsDiff(Mean(E[ByName]),Median(E[ByName]))": _r_ext_mean_median,
-    "Quotient(Sum(E[ByName],E[ByName]),E[ByName])": _r_ext_quotient,
-    "Ratio(ArgExtreme(E[ByName]),ArgExtreme(E[ByName]))": _r_ext_ratio_extremes,
-    "OneFourthNearest(Threshold(E[ByName]))": _r_ext_quarter,
-}
+    if key in _YEAR_PHRASINGS and spec.is_temporal:
+        years = [int(sel.category) for sel in leaf_selectors(query.root)]
+        if all(x > y for x, y in zip(years, years[1:])):
+            variants = _YEAR_PHRASINGS[key]
+    pick = random.Random(rng_seed).randrange(len(variants))
+    return variants[pick].format_map(_slots(query, spec, geom))
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +428,7 @@ def position_candidates(spec: ChartSpec, geom: GeometryMap) -> CandidateSpace:
     if spec.kind == "pie":
         return space
     axis = "row" if spec.kind == "horizontal_bar" else "column"
-    directions = ROW_DIRS if axis == "row" else COL_DIRS
+    directions = ROW_DIRECTIONS if axis == "row" else COLUMN_DIRECTIONS
     n_cat = len(spec.table.categories)
     leaves: list[Extract] = []
     labels: list[str] = []
@@ -644,10 +456,6 @@ def position_candidates(spec: ChartSpec, geom: GeometryMap) -> CandidateSpace:
         space.add_root(total)
         space.add("Mean", (leaf,))
     return space
-
-
-ROW_DIRS = ("from_top", "from_bottom")
-COL_DIRS = ("from_left", "from_right")
 
 
 def length_candidates(spec: ChartSpec, geom: GeometryMap) -> CandidateSpace:
@@ -831,13 +639,18 @@ FAMILY_CANDIDATES = {
 _LETTERS = ("A", "B", "C", "D")
 
 
+def label_pattern(label: str) -> str:
+    """A regex for the label as a whole token: word boundaries apply only
+    where the label's edge is a word character, so labels like
+    "Green (G/EFA)" that end on punctuation still match there."""
+    left = r"\b" if re.match(r"\w", label) else ""
+    right = r"\b" if re.search(r"\w$", label) else ""
+    return left + re.escape(label) + right
+
+
 @lru_cache(maxsize=1024)
 def _text_leak_re(answer: str) -> re.Pattern:
-    # boundaries only where the answer edge is a word character, so
-    # labels ending in punctuation still register as leaks
-    left = r"\b" if re.match(r"\w", answer) else ""
-    right = r"\b" if re.search(r"\w$", answer) else ""
-    return re.compile(left + re.escape(answer) + right, re.IGNORECASE)
+    return re.compile(label_pattern(answer), re.IGNORECASE)
 
 
 def _leaks(answer: str, answer_type: str, question: str) -> bool:
@@ -883,17 +696,6 @@ def _mcq_options(
     texts = [gold_text] + distractors[:3]
     rng.shuffle(texts)
     return tuple(zip(_LETTERS, texts))
-
-
-def _statement_text(query: QuerySpec, spec: ChartSpec) -> str:
-    root = query.root
-    a = root.children[0].children[0].selector
-    b = root.children[0].children[1].selector
-    c = root.children[1].selector
-    word = "greater" if root.relation == "gt" else "smaller"
-    sfx = _series_suffix(a, spec)
-    return (f"The combined value of {a.category} and {b.category} is {word} "
-            f"than the value of {c.category}{sfx}.")
 
 
 def _assemble(
@@ -950,7 +752,7 @@ def _assemble(
             return None
         answer_type = "mcq"
     elif cand.form == "factcheck":
-        statement = _statement_text(query, spec)
+        statement = _STATEMENT.format_map(_slots(query, spec, geom))
 
     try:
         if cand.form == "factcheck":

@@ -67,7 +67,7 @@ Selector = ByName | ByPosition | ByVisual | ByLegend | ByExtreme
 # nodes
 
 OP_KINDS: tuple[str, ...] = (
-    "Sum", "Diff", "AbsDiff", "Product", "Quotient", "Ratio",
+    "Sum", "Diff", "AbsDiff", "Quotient", "Ratio",
     "Count", "Rank", "ArgExtreme", "Mean", "Median",
     "RateOfChange", "Compare", "OneFourthNearest", "Threshold",
 )
@@ -346,7 +346,7 @@ def _eval_op(node: Op, spec: ChartSpec, geom: GeometryMap | None, values):
             raise QueryError(f"{kind} over an empty selection")
         return aggregate_values(kind, operands)
 
-    if kind in ("Diff", "AbsDiff", "Product", "Quotient", "Ratio", "Compare"):
+    if kind in ("Diff", "AbsDiff", "Quotient", "Ratio", "Compare"):
         if len(node.children) != 2:
             raise QueryError(f"{kind} takes exactly two operands")
         a = _scalar(evaluate(node.children[0], spec, geom, values))
@@ -355,8 +355,6 @@ def _eval_op(node: Op, spec: ChartSpec, geom: GeometryMap | None, values):
             return a - b
         if kind == "AbsDiff":
             return abs(a - b)
-        if kind == "Product":
-            return a * b
         if kind in ("Quotient", "Ratio"):
             if b == 0:
                 raise QueryError(f"{kind} divides by zero")

@@ -64,7 +64,11 @@ class SubQuestion:
     kind: str   # "perception" or "logic"
     question: str
     answer: str
-    depends_on: tuple[int, ...] = ()  # earlier indices this step consumes
+
+    @property
+    def depends_on(self) -> tuple[int, ...]:
+        """Earlier steps this one consumes, as its question names them."""
+        return infer_depends(self.question, self.index)
 
 
 @dataclass(frozen=True)
@@ -257,8 +261,7 @@ def validate_trace_text(
         return None, violations
     subs = tuple(
         SubQuestion(index=i + 1, kind=kinds[i], question=questions[i],
-                    answer=answers[i],
-                    depends_on=infer_depends(questions[i], i + 1))
+                    answer=answers[i])
         for i in range(len(questions))
     )
     final = _FINAL_RE.sub("", answers[-1]).strip()
@@ -290,8 +293,7 @@ def trace_from_dict(d: dict) -> ReasoningTrace:
     return ReasoningTrace(
         subs=tuple(
             SubQuestion(index=s["i"], kind=s["kind"],
-                        question=s["q"], answer=s["a"],
-                        depends_on=infer_depends(s["q"], s["i"]))
+                        question=s["q"], answer=s["a"])
             for s in d["subs"]
         ),
         final=d["final"],
@@ -340,8 +342,8 @@ class _TraceBuilder:
         self.spec = spec
         self.geom = geom
         self.values = values  # node -> evaluated value, filled on demand
-        # row: (kind, question, answer, depends_on)
-        self.rows: list[tuple[str, str, str, tuple[int, ...]]] = []
+        # row: (kind, question, answer)
+        self.rows: list[tuple[str, str, str]] = []
         self.leaf_refs: dict = {}
         self.pick_refs: dict = {}
 
@@ -355,7 +357,7 @@ class _TraceBuilder:
         if any(not 1 <= d < index for d in deps):
             raise InvariantError(
                 f"sub-question {index} references {deps}, all must be earlier")
-        self.rows.append((kind, question, answer, deps))
+        self.rows.append((kind, question, answer))
         return index
 
     def value(self, node: Node):
@@ -498,11 +500,6 @@ class _TraceBuilder:
                  f"and the answer to question {j}?")
             return self._add("logic", q, f"The {word} is {_num(result)}.", deps)
 
-        if kind == "Product":
-            i, j = idxs
-            q = f"What is the product of the answers to questions {i} and {j}?"
-            return self._add("logic", q, f"The product is {_num(result)}.", deps)
-
         if kind == "Quotient":
             i, j = idxs
             q = (f"What is the answer to question {i} divided by the answer "
@@ -624,10 +621,10 @@ def build_trace(
     rows = builder.rows
     if not rows:
         raise InvariantError("query produced no sub-questions")
-    k0, q0, _, d0 = rows[-1]
-    rows[-1] = (k0, q0, f"{FINAL_PREFIX}{final}", d0)
+    k0, q0, _ = rows[-1]
+    rows[-1] = (k0, q0, f"{FINAL_PREFIX}{final}")
     subs = tuple(
-        SubQuestion(index=i + 1, kind=k, question=q, answer=a, depends_on=d)
-        for i, (k, q, a, d) in enumerate(rows)
+        SubQuestion(index=i + 1, kind=k, question=q, answer=a)
+        for i, (k, q, a) in enumerate(rows)
     )
     return ReasoningTrace(subs=subs, final=final)

@@ -102,7 +102,7 @@ def _scoreable(answer, answer_type):
         SubQuestion(1, "perception", "What value is shown?",
                     "The value shown is 1."),
         SubQuestion(2, "logic", "What is the result?",
-                    f"Final answer: {answer}", depends_on=(1,)),
+                    f"Final answer: {answer}"),
     )
     return QAItem(qa_id="c0-extract-001", chart_id="c0", family="extract",
                   ops=("Sum",), question="What is the result?",

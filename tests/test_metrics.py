@@ -37,7 +37,7 @@ def _item(answer, answer_type, family="extract"):
         SubQuestion(1, "perception", "What value is shown for A?",
                     "The value shown for A is 1."),
         SubQuestion(2, "logic", "What is the result?",
-                    f"Final answer: {answer}", depends_on=(1,)),
+                    f"Final answer: {answer}"),
     )
     return QAItem(
         qa_id="chart0-extract-001",

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from perceptqa.charts import sample_chart_spec
-from perceptqa.errors import ConfigError
+from perceptqa.errors import ConfigError, TemplateError
 from perceptqa.qagen import (
     DEFAULT_FAMILY_WEIGHTS,
     FAMILY_CANDIDATES,
@@ -15,15 +15,19 @@ from perceptqa.qagen import (
     item_from_dict,
     item_to_dict,
     operation_tags,
+    realize_question,
 )
 from perceptqa.queries import (
+    ByLegend,
     ByName,
     ByPosition,
     ByVisual,
     iter_nodes,
     Extract,
     leaf_selectors,
+    Op,
     oracle_eval,
+    QuerySpec,
 )
 from perceptqa.render import render_chart
 from support import chart_pool
@@ -178,6 +182,9 @@ def test_factcheck_items_are_roughly_balanced(batch):
         assert item.answer in ("True", "False")
         assert item.question.startswith("Is the following statement")
         assert item.statement in item.question
+        assert re.fullmatch(
+            r"The combined value of [^{}]+ and [^{}]+ is (greater|smaller) "
+            r"than the value of [^{}]+\.", item.statement), item.statement
     trues = sum(1 for i in fact if i.answer == "True")
     share = trues / len(fact)
     assert 0.35 <= share <= 0.65, f"true share {share:.2f}"
@@ -301,3 +308,58 @@ def test_text_leak_handles_punctuation_and_case():
     assert not _leaks("Q1.", "text", "Is XQ1. the largest?")
     # booleans are never checked against the question text
     assert not _leaks("True", "boolean", "Is it True that it rose?")
+
+
+# ---------------------------------------------------------------------------
+# phrasing
+
+
+def test_every_candidate_phrases_cleanly(one_chart_per_kind):
+    realized = 0
+    for kind, (spec, geom) in one_chart_per_kind.items():
+        for family in FAMILY_NAMES:
+            space = FAMILY_CANDIDATES[family](spec, geom)
+            for i in range(len(space)):
+                cand = space[i]
+                if cand.form == "factcheck":
+                    continue  # phrased by the statement template instead
+                text = realize_question(cand.query, spec, i, geom)
+                assert text.endswith("?"), text
+                assert not re.search(r"[{}]|\bNone\b", text), (kind, text)
+                realized += 1
+    assert realized == 2543
+
+
+@pytest.mark.parametrize("root", [
+    Op("Mean", (Extract(ByLegend(1)),)),
+    Op("Sum", (Extract(ByVisual(color="dark blue")),)),
+    # the fact-check shape is a statement, never a question
+    Op("Compare", (Op("Sum", (Extract(ByName("Women", "2010")),
+                              Extract(ByName("Women", "2011")))),
+                   Extract(ByName("Women", "2012"))), relation="gt"),
+])
+def test_unregistered_shape_is_a_template_error(minutes_chart, root):
+    spec, _, _ = minutes_chart
+    with pytest.raises(TemplateError):
+        realize_question(QuerySpec(root, "length", "number"), spec, 0)
+
+
+def test_temporal_phrasing_reads_years(minutes_chart):
+    spec, _, _ = minutes_chart
+
+    def phrase(root, seed=0):
+        return realize_question(QuerySpec(root, "length", "number"), spec, seed)
+
+    def cell(year):
+        return Extract(ByName(series="Women", category=year))
+
+    assert phrase(cell("2014"), seed=0) == (
+        "What was the value in 2014 in the Women series?")
+    assert phrase(cell("2014"), seed=1) == (
+        "What value was recorded in 2014 in the Women series?")
+    assert phrase(Op("Diff", (cell("2016"), cell("2012")))) == (
+        "How did the value change from 2012 to 2016 in the Women series?")
+    # earlier year first: no change to narrate, so the plain wording
+    assert phrase(Op("Diff", (cell("2012"), cell("2016")))) == (
+        "What is the difference between the values of 2012 and 2016 "
+        "in the Women series?")

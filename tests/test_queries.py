@@ -221,7 +221,6 @@ def test_pairwise_arithmetic(grid):
     a, b = _cell(series="A", category="Y"), _cell(series="B", category="Y")
     assert evaluate(Op("Diff", (a, b)), spec, geom) == Decimal(35)
     assert evaluate(Op("AbsDiff", (b, a)), spec, geom) == Decimal(35)
-    assert evaluate(Op("Product", (a, b)), spec, geom) == Decimal(200)
     assert evaluate(Op("Quotient", (a, b)), spec, geom) == Decimal(8)
     assert evaluate(Op("Ratio", (b, a)), spec, geom) == Decimal("0.125")
 
