@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from .gateway import (
     generate_dot_answer_llm,
     generate_questions_llm,
     make_request,
+    question_request,
     verify_templates,
 )
 from .metrics import (
@@ -267,7 +269,72 @@ def _infer_answer_type(text: str) -> str:
     return "text"
 
 
+# model requests in flight at once in an LLM-mode build
+_MAX_IN_FLIGHT = 8
+
+
+def _start(pool, gateway, request, fn, *args, **kwargs) -> Future:
+    """Run fn(*args, **kwargs) in the pool, or here when its first
+    request is already cached: a replay then stays on this thread
+    instead of handing cache reads to threads that contend for the GIL."""
+    if not gateway.is_cached(request):
+        return pool.submit(fn, *args, **kwargs)
+    done: Future = Future()
+    try:
+        done.set_result(fn(*args, **kwargs))
+    except Exception as exc:  # raised when read, in order, like the pool's
+        done.set_exception(exc)
+    return done
+
+
+def _label_question(gateway, cand, qa_id, spec, svg, req_a, req_b, model):
+    """Answer one question with models A and B, then, if they agree, ask
+    for its trace.  Returns (item, provenance row), or (None, review row).
+
+    B is asked only once A has answered, so when both name the same
+    model B is a cache hit and costs no budget."""
+    answer_a = gateway.chat(req_a).text
+    answer_b = gateway.chat(req_b).text
+    answer_type = _infer_answer_type(answer_a)
+    label = dual_agreement_label(answer_a, answer_b, answer_type)
+    if label.status != "accepted":
+        return None, {"qa_id": qa_id, "answer_a": answer_a,
+                      "answer_b": answer_b}
+
+    trace, violations, trace_hash = generate_dot_answer_llm(
+        gateway, cand.question, label.gold, svg, model=model)
+    if trace is None or violations:
+        return None, {"qa_id": qa_id, "answer_a": label.gold, "answer_b": "",
+                      "violations": [v.code for v in violations]}
+    if trace.final != label.gold:
+        return None, {"qa_id": qa_id, "answer_a": label.gold,
+                      "answer_b": trace.final}
+
+    item = QAItem(
+        qa_id=qa_id,
+        chart_id=spec.chart_id,
+        family=cand.family,
+        ops=_ops_from_hint(cand.op_hint),
+        question=cand.question,
+        answer_type=answer_type,
+        answer=label.gold,
+        trace=trace,
+    )
+    return item, {
+        "qa_id": qa_id,
+        "model": model,
+        "question_request": cand.request_hash,
+        "answer_request_a": req_a.request_hash,
+        "answer_request_b": req_b.request_hash,
+        "trace_request": trace_hash,
+    }
+
+
 def _build_llm_items(charts, args):
+    """Ask for every chart's questions at once, then label each accepted
+    question on its own chain, up to _MAX_IN_FLIGHT requests at a time.
+    Results are read back in chart, family and question order, so the
+    output never depends on the order in which replies arrive."""
     gateway = Gateway(
         endpoint=args.endpoint,
         cache_dir=args.cache or (Path(args.out) / "cache"),
@@ -279,89 +346,61 @@ def _build_llm_items(charts, args):
     review_rows: list[dict] = []
     provenance: list[dict] = []
 
-    for spec, svg, geom in charts:
-        per_family: dict[str, int] = {}
-        taken: set[str] = set()
-        for family in FAMILY_NAMES:
-            try:
-                accepted, rejected = generate_questions_llm(
-                    gateway, spec, svg, geom, family,
-                    model=model, n_questions=args.per_chart)
-            except PerceptQAError as exc:
-                if isinstance(exc, TransportError):
-                    raise
-                print(f"note: {family}/{spec.chart_id}: {exc}",
-                      file=sys.stderr)
-                continue
-            for question, reason in rejected:
-                print(f"note: rejected {family} question on "
-                      f"{spec.chart_id}: {reason}", file=sys.stderr)
-            for cand in accepted:
-                qkey = " ".join(cand.question.split()).casefold()
-                if qkey in taken:
-                    print(f"note: dropped duplicate question on "
-                          f"{spec.chart_id}: {cand.question!r}",
+    pool = ThreadPoolExecutor(max_workers=_MAX_IN_FLIGHT)
+    try:
+        asked = iter([
+            _start(pool, gateway,
+                   question_request(family, svg, model, args.per_chart),
+                   generate_questions_llm, gateway, spec, svg, geom, family,
+                   model=model, n_questions=args.per_chart)
+            for spec, svg, geom in charts for family in FAMILY_NAMES])
+        chains: list[Future] = []
+        for spec, svg, geom in charts:
+            per_family: dict[str, int] = {}
+            taken: set[str] = set()
+            for family in FAMILY_NAMES:
+                try:
+                    accepted, rejected = next(asked).result()
+                except PerceptQAError as exc:
+                    if isinstance(exc, TransportError):
+                        raise
+                    print(f"note: {family}/{spec.chart_id}: {exc}",
                           file=sys.stderr)
                     continue
-                taken.add(qkey)
-                seq = per_family.get(family, 0) + 1
-                per_family[family] = seq
-                qa_id = f"{spec.chart_id}-{family}-llm-{seq:03d}"
+                for question, reason in rejected:
+                    print(f"note: rejected {family} question on "
+                          f"{spec.chart_id}: {reason}", file=sys.stderr)
+                for cand in accepted:
+                    qkey = " ".join(cand.question.split()).casefold()
+                    if qkey in taken:
+                        print(f"note: dropped duplicate question on "
+                              f"{spec.chart_id}: {cand.question!r}",
+                              file=sys.stderr)
+                        continue
+                    taken.add(qkey)
+                    seq = per_family.get(family, 0) + 1
+                    per_family[family] = seq
+                    qa_id = f"{spec.chart_id}-{family}-llm-{seq:03d}"
+                    req_a = make_request(
+                        "infer_default", {"question": cand.question},
+                        model=model, image_svg=svg, temperature=0.0)
+                    req_b = make_request(
+                        "infer_default", {"question": cand.question},
+                        model=model_b, image_svg=svg, temperature=0.0)
+                    chains.append(_start(
+                        pool, gateway, req_a, _label_question, gateway, cand,
+                        qa_id, spec, svg, req_a, req_b, model))
 
-                req_a = make_request(
-                    "infer_default", {"question": cand.question},
-                    model=model, image_svg=svg, temperature=0.0)
-                req_b = make_request(
-                    "infer_default", {"question": cand.question},
-                    model=model_b, image_svg=svg, temperature=0.0)
-                answer_a = gateway.chat(req_a).text
-                answer_b = gateway.chat(req_b).text
-                answer_type = _infer_answer_type(answer_a)
-                label = dual_agreement_label(answer_a, answer_b, answer_type)
-                if label.status != "accepted":
-                    review_rows.append({
-                        "qa_id": qa_id,
-                        "answer_a": answer_a,
-                        "answer_b": answer_b,
-                    })
-                    continue
-
-                trace, violations, trace_hash = generate_dot_answer_llm(
-                    gateway, cand.question, label.gold, svg, model=model)
-                if trace is None or violations:
-                    review_rows.append({
-                        "qa_id": qa_id,
-                        "answer_a": label.gold,
-                        "answer_b": "",
-                        "violations": [v.code for v in violations],
-                    })
-                    continue
-                if trace.final != label.gold:
-                    review_rows.append({
-                        "qa_id": qa_id,
-                        "answer_a": label.gold,
-                        "answer_b": trace.final,
-                    })
-                    continue
-
-                items.append(QAItem(
-                    qa_id=qa_id,
-                    chart_id=spec.chart_id,
-                    family=family,
-                    ops=_ops_from_hint(cand.op_hint),
-                    question=cand.question,
-                    answer_type=answer_type,
-                    answer=label.gold,
-                    trace=trace,
-                ))
-                provenance.append({
-                    "qa_id": qa_id,
-                    "model": model,
-                    "question_request": cand.request_hash,
-                    "answer_request_a": req_a.request_hash,
-                    "answer_request_b": req_b.request_hash,
-                    "trace_request": trace_hash,
-                })
+        for chain in chains:
+            item, row = chain.result()
+            if item is None:
+                review_rows.append(row)
+            else:
+                items.append(item)
+                provenance.append(row)
+    finally:
+        # after a failure, chains not yet started never send a request
+        pool.shutdown(cancel_futures=True)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -11,6 +11,7 @@ at startup.
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import json
 import os
@@ -73,7 +74,7 @@ def _template_dir():
     return resources.files("perceptqa").joinpath("data/templates")
 
 
-def load_template(template_id: str) -> PromptTemplate:
+def _read_template(template_id: str) -> PromptTemplate:
     if template_id not in TEMPLATE_IDS:
         raise ConfigError(f"unknown template id {template_id!r}")
     text = _template_dir().joinpath(f"{template_id}.txt").read_text("utf-8")
@@ -85,6 +86,13 @@ def load_template(template_id: str) -> PromptTemplate:
     return PromptTemplate(template_id, system_text, user_text, slots)
 
 
+@functools.cache
+def load_template(template_id: str) -> PromptTemplate:
+    """The template as first read by this process; verify_templates
+    checks that copy against both the file and the pinned hash."""
+    return _read_template(template_id)
+
+
 def pinned_template_hashes() -> dict:
     text = _template_dir().joinpath("manifest.json").read_text("utf-8")
     return json.loads(text)
@@ -94,9 +102,10 @@ def verify_templates() -> dict:
     """Compare every template file hash against the pinned manifest.
 
     Returns the verified id -> hash map; any drift or omission raises,
-    so a run can never silently use edited prompts."""
+    so a run can never silently use edited prompts, including a file
+    edited after this process first loaded it."""
     pinned = pinned_template_hashes()
-    actual = {tid: load_template(tid).sha256 for tid in TEMPLATE_IDS}
+    actual = {tid: _read_template(tid).sha256 for tid in TEMPLATE_IDS}
     if set(pinned) != set(actual):
         raise ConfigError(
             f"template manifest lists {sorted(pinned)}, files are "
@@ -106,6 +115,10 @@ def verify_templates() -> dict:
             raise ConfigError(
                 f"template {tid} drifted: pinned {pinned[tid][:12]}..., "
                 f"file {digest[:12]}...")
+        if load_template(tid).sha256 != digest:
+            raise ConfigError(
+                f"template {tid} changed on disk after this process "
+                f"loaded it")
     return actual
 
 
@@ -130,7 +143,7 @@ class GatewayRequest:
     image_svg: str | None = None
     temperature: float = DEFAULT_TEMPERATURE_INFERENCE
 
-    @property
+    @functools.cached_property
     def request_hash(self) -> str:
         # the endpoint is deliberately excluded: the same request served
         # by a different host must replay from the same cache entry
@@ -269,9 +282,16 @@ class Gateway:
     def _write_cache(self, request_hash: str, entry: dict) -> None:
         path = self._cache_path(request_hash)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(entry, indent=2) + "\n", encoding="utf-8")
-        os.replace(tmp, path)
+        # one temp name per writer, so threads or processes sharing the
+        # cache never write into or rename away each other's temp file
+        tmp = path.with_name(
+            f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+        try:
+            tmp.write_text(json.dumps(entry, indent=2) + "\n",
+                           encoding="utf-8")
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -289,6 +309,11 @@ class Gateway:
                 "response body lacks choices[0].message.content")
 
     # -- public API -----------------------------------------------------------
+
+    def is_cached(self, request: GatewayRequest) -> bool:
+        """Whether chat(request) would be answered from the cache; the
+        entry's contents are checked only when chat reads it."""
+        return self._cache_path(request.request_hash).is_file()
 
     def chat(self, request: GatewayRequest) -> GatewayResponse:
         request_hash = request.request_hash
@@ -426,6 +451,26 @@ def parse_question_lines(text: str) -> list[tuple[str, str]]:
             for m in _CANDIDATE_RE.finditer(text)]
 
 
+def question_request(
+    family: str,
+    svg: str,
+    model: str,
+    n_questions: int = 2,
+    temperature: float | None = None,
+) -> GatewayRequest:
+    """The question-generation request for one family on one chart."""
+    template_id = _QGEN_TEMPLATE_BY_FAMILY.get(family)
+    if template_id is None:
+        raise ConfigError(f"unknown task family {family!r}")
+    return make_request(
+        template_id,
+        {"n_questions": n_questions},
+        model=model,
+        image_svg=svg,
+        temperature=temperature,
+    )
+
+
 def generate_questions_llm(
     gateway: Gateway,
     spec: ChartSpec,
@@ -439,16 +484,7 @@ def generate_questions_llm(
     """Ask the model for questions in one family; keep the resolvable
     ones.  Returns (accepted, rejected-with-reason); zero accepted is an
     error because the caller cannot proceed with nothing."""
-    template_id = _QGEN_TEMPLATE_BY_FAMILY.get(family)
-    if template_id is None:
-        raise ConfigError(f"unknown task family {family!r}")
-    request = make_request(
-        template_id,
-        {"n_questions": n_questions},
-        model=model,
-        image_svg=svg,
-        temperature=temperature,
-    )
+    request = question_request(family, svg, model, n_questions, temperature)
     response = gateway.chat(request)
     pairs = parse_question_lines(response.text)
     accepted: list[QuestionCandidate] = []

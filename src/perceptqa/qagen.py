@@ -347,6 +347,14 @@ def realize_question(
     variants = _PHRASINGS.get(key)
     if variants is None:
         raise TemplateError(f"no phrasing registered for shape {key}")
+    if key == "E[ByName]":
+        # the lookup phrasings name one cell: its category, and its series
+        # whenever the chart has more than one
+        sel = query.root.selector
+        if sel.category is None or (sel.series is None
+                                    and len(spec.table.series) > 1):
+            raise TemplateError(
+                f"a value lookup needs one cell, not the selector {sel}")
     if key in _YEAR_PHRASINGS and spec.is_temporal:
         years = [int(sel.category) for sel in leaf_selectors(query.root)]
         if all(x > y for x, y in zip(years, years[1:])):

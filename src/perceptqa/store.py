@@ -134,7 +134,27 @@ def check_leakage(items: list[QAItem], holdout_chart_ids) -> None:
 # ---------------------------------------------------------------------------
 # writing
 
+def _lock_holder(path: Path) -> str:
+    """Name the writer a lock file records, and say whether it still runs."""
+    try:
+        pid = int(path.read_text("ascii"))
+    except (OSError, UnicodeDecodeError, ValueError):
+        pid = 0
+    if pid <= 0:
+        return f"no pid recorded; remove {LOCK_NAME} if that writer crashed"
+    try:
+        os.kill(pid, 0)
+    except (ProcessLookupError, OverflowError):
+        return f"pid {pid}, no longer running; remove {LOCK_NAME}"
+    except PermissionError:
+        pass  # the process exists, under another user
+    return f"pid {pid}, still running"
+
+
 class _Lock:
+    """Exclusive right to write one dataset directory; the lock file
+    holds the writer's pid."""
+
     def __init__(self, root: Path):
         self.path = root / LOCK_NAME
 
@@ -144,8 +164,11 @@ class _Lock:
         except FileExistsError:
             raise StoreError(
                 f"dataset {self.path.parent} is locked by another writer "
-                f"(remove {LOCK_NAME} if that writer crashed)")
-        os.close(fd)
+                f"({_lock_holder(self.path)})")
+        try:
+            os.write(fd, f"{os.getpid()}\n".encode("ascii"))
+        finally:
+            os.close(fd)
         return self
 
     def __exit__(self, *exc):

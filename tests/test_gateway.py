@@ -3,6 +3,8 @@ model-backed question pipeline."""
 
 import base64
 import json
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -87,6 +89,21 @@ def test_template_manifest_key_mismatch_is_fatal(monkeypatch):
     del pinned["dot_answer"]
     monkeypatch.setattr(gw, "pinned_template_hashes", lambda: pinned)
     with pytest.raises(ConfigError, match="manifest lists"):
+        verify_templates()
+
+
+def test_template_is_read_once_and_checked_against_its_file(monkeypatch):
+    assert load_template("dot_answer") is load_template("dot_answer")
+    loaded = gw.load_template
+
+    def stale(tid):  # the copy in use no longer matches the file
+        template = loaded(tid)
+        if tid == "dot_answer":
+            return replace(template, user_text="edited")
+        return template
+
+    monkeypatch.setattr(gw, "load_template", stale)
+    with pytest.raises(ConfigError, match="dot_answer changed on disk"):
         verify_templates()
 
 
@@ -242,6 +259,46 @@ def test_budget_counts_unique_network_calls(tmp_path):
         g.chat(_req(question="three"))
     # cache hits stay free even after the budget is gone
     assert g.chat(_req(question="one")).cached
+
+
+def test_is_cached_reports_a_recorded_request(tmp_path):
+    g, _ = _gateway(tmp_path, ScriptedTransport(_ok("x")))
+    assert not g.is_cached(_req())
+    g.chat(_req())
+    assert g.is_cached(_req())
+    assert not g.is_cached(_req(question="Other?"))
+
+
+def test_writers_of_one_cache_entry_never_collide(tmp_path):
+    g, _ = _gateway(tmp_path, ScriptedTransport(_ok("x")))
+    req = _req()
+    entries = [{"request_hash": req.request_hash, "writer": n,
+                "response_text": "x", "response_body": {"n": n}}
+               for n in range(6)]
+    errors = []
+
+    def write(entry):
+        try:
+            for _ in range(40):
+                g._write_cache(req.request_hash, entry)
+        except OSError as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=write, args=(e,)) for e in entries]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    entry = g._read_cache(req.request_hash)
+    assert entry in entries
+    assert list(tmp_path.rglob("*.tmp")) == []
 
 
 @pytest.mark.parametrize("damage", ["not json", "foreign hash",

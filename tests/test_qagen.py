@@ -363,3 +363,26 @@ def test_temporal_phrasing_reads_years(minutes_chart):
     assert phrase(Op("Diff", (cell("2012"), cell("2016")))) == (
         "What is the difference between the values of 2012 and 2016 "
         "in the Women series?")
+
+
+@pytest.mark.parametrize("selector", [
+    ByName(series="Women"),   # a whole row: no year to name
+    ByName(category="2014"),  # a whole column of a two-series chart
+])
+def test_lookup_of_more_than_one_cell_is_a_template_error(minutes_chart,
+                                                          selector):
+    spec, _, _ = minutes_chart
+    query = QuerySpec(Extract(selector), "length", "number")
+    with pytest.raises(TemplateError, match="one cell"):
+        realize_question(query, spec, 0)
+
+
+def test_lookup_on_a_single_series_chart_needs_no_series(seats_chart):
+    spec, _, _ = seats_chart
+    query = QuerySpec(Extract(ByName(category="Liberal (RE)")), "length",
+                      "number")
+    assert realize_question(query, spec, 0).startswith(
+        "What value does Liberal (RE) show")
+    row = QuerySpec(Extract(ByName(series="Seats")), "length", "number")
+    with pytest.raises(TemplateError, match="one cell"):
+        realize_question(row, spec, 0)

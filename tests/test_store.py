@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 from perceptqa.errors import StoreError
 from perceptqa.qagen import GenConfig, generate_items, item_to_dict
 from perceptqa.store import (
+    _Lock,
     check_leakage,
     load_dataset,
     manifest_from_dict,
@@ -329,3 +333,32 @@ def test_write_respects_existing_lock(corpus, tmp_path):
     (root / ".lock").unlink()
     _write(root, charts, items, test_ids)
     assert not (root / ".lock").exists()
+
+
+def test_lock_records_the_writer_pid(tmp_path):
+    with _Lock(tmp_path):
+        assert (tmp_path / ".lock").read_text("ascii") == f"{os.getpid()}\n"
+    assert not (tmp_path / ".lock").exists()
+
+
+def test_lock_error_names_a_live_writer(corpus, tmp_path):
+    charts, items, test_ids = corpus
+    root = tmp_path / "ds"
+    root.mkdir()
+    (root / ".lock").write_text(f"{os.getpid()}\n", "ascii")
+    with pytest.raises(StoreError, match=f"pid {os.getpid()}, still running"):
+        _write(root, charts, items, test_ids)
+
+
+def test_lock_error_names_a_dead_writer(corpus, tmp_path):
+    charts, items, test_ids = corpus
+    proc = subprocess.Popen([sys.executable, "-c", "pass"])
+    assert proc.wait(timeout=60) == 0  # reaped, so its pid names no process
+    root = tmp_path / "ds"
+    root.mkdir()
+    (root / ".lock").write_text(f"{proc.pid}\n", "ascii")
+    with pytest.raises(StoreError,
+                       match=f"pid {proc.pid}, no longer running") as err:
+        _write(root, charts, items, test_ids)
+    assert "remove .lock" in str(err.value)
+    assert (root / ".lock").exists()
