@@ -12,9 +12,9 @@ import argparse
 import hashlib
 import json
 import sys
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .charts import dumps_chart, loads_chart, require_valid, sample_chart_spec
@@ -54,6 +54,9 @@ from .queries import FAMILIES
 from .reasoning import load_lexicon
 from .render import dumps_geom, loads_geom, render_chart
 from .store import load_dataset, split_holdout, write_dataset
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 
 class _Parser(argparse.ArgumentParser):
@@ -277,6 +280,8 @@ def _start(pool, gateway, request, fn, *args, **kwargs) -> Future:
     """Run fn(*args, **kwargs) in the pool, or here when its first
     request is already cached: a replay then stays on this thread
     instead of handing cache reads to threads that contend for the GIL."""
+    from concurrent.futures import Future
+
     if not gateway.is_cached(request):
         return pool.submit(fn, *args, **kwargs)
     done: Future = Future()
@@ -335,6 +340,9 @@ def _build_llm_items(charts, args):
     question on its own chain, up to _MAX_IN_FLIGHT requests at a time.
     Results are read back in chart, family and question order, so the
     output never depends on the order in which replies arrive."""
+    # the thread pool loads only on this path, not with every command
+    from concurrent.futures import ThreadPoolExecutor
+
     gateway = Gateway(
         endpoint=args.endpoint,
         cache_dir=args.cache or (Path(args.out) / "cache"),

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-import requests
-
+# the transport module keeps the name ``requests`` because perfbench's
+# tracer wraps ``gateway.requests.post`` to count every POST sent
+from . import _http as requests
 from .charts import ChartSpec
 from .errors import (
     BudgetError,
@@ -253,11 +254,10 @@ class Gateway:
 
     def _http_post(self, endpoint: str, body: bytes, headers: dict):
         try:
-            resp = requests.post(endpoint, data=body, headers=headers,
+            return requests.post(endpoint, data=body, headers=headers,
                                  timeout=self.timeout)
         except requests.RequestException as exc:
             raise TransportError(f"endpoint unreachable: {exc}")
-        return resp.status_code, resp.content
 
     def _cache_path(self, request_hash: str) -> Path:
         return self.cache_dir / request_hash[:2] / f"{request_hash}.json"

@@ -58,11 +58,6 @@ def jsonable(value: Decimal) -> int | float:
     return f
 
 
-def parse_number(text: str) -> Decimal:
-    """Parse a canonical number string back into a decimal."""
-    return Decimal(text)
-
-
 def is_canonical_number(text: str) -> bool:
     try:
         value = Decimal(text)

@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import random
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -180,9 +181,15 @@ class _Lock:
 
 
 def _atomic_write(path: Path, data: bytes) -> str:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    # one temp name per writer, as in the gateway's cache; a failed write
+    # or rename leaves no temp file behind
+    tmp = path.with_name(
+        f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return _sha256_bytes(data)
 
 

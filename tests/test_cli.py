@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -283,6 +287,39 @@ def test_label_routes_agreements_and_disputes(tmp_path, capsys):
     assert review_rows == [{"qa_id": "q2", "answer_a": "99",
                             "answer_b": "95"}]
     assert "accepted 2, queued 1" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# start-up cost
+
+def test_synthetic_commands_load_no_http_stack_or_thread_pool(tmp_path):
+    """Only an LLM-mode build sends requests, so the other commands never
+    import an HTTP client or a thread pool."""
+    script = textwrap.dedent("""
+        import sys
+        from pathlib import Path
+        from perceptqa.cli import main
+        work = Path(sys.argv[1])
+        (work / "preds.jsonl").write_text("", "utf-8")
+        assert main(["build-dataset", "--seed", "2", "--charts", "2",
+                     "--per-chart", "2", "--out", str(work / "ds")]) == 0
+        for mode in ("short", "dot"):
+            assert main(["evaluate", "--dataset", str(work / "ds"),
+                         "--predictions", str(work / "preds.jsonl"),
+                         "--mode", mode,
+                         "--out", str(work / f"{mode}.jsonl")]) == 0
+        print(sorted(m for m in ("requests", "urllib.request", "http.client",
+                                 "concurrent.futures") if m in sys.modules))
+    """)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -332,6 +333,28 @@ def test_write_respects_existing_lock(corpus, tmp_path):
         _write(root, charts, items, test_ids)
     (root / ".lock").unlink()
     _write(root, charts, items, test_ids)
+    assert not (root / ".lock").exists()
+
+
+def test_failed_rename_surfaces_and_leaves_no_temp_file(corpus, tmp_path,
+                                                       monkeypatch):
+    charts, items, test_ids = corpus
+    root = tmp_path / "ds"
+    renamed = []
+
+    def refuse(src, dst):
+        renamed.append((Path(src), Path(dst)))
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="No space left on device"):
+        _write(root, charts, items, test_ids)
+    monkeypatch.undo()
+
+    (src, dst), = renamed
+    writer = f"{os.getpid()}-{threading.get_ident()}"
+    assert src.name == f"{dst.name}.{writer}.tmp"
+    assert list(root.rglob("*.tmp")) == []
     assert not (root / ".lock").exists()
 
 
