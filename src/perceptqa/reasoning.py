@@ -54,7 +54,6 @@ VIOLATION_CODES = (
     "no_final_answer",
 )
 
-_FORBIDDEN = re.compile(r"\btable\b", re.IGNORECASE)
 _FINAL_RE = re.compile(r"^final answer:\s*", re.IGNORECASE)
 
 
@@ -100,26 +99,66 @@ def load_lexicon() -> dict:
     return lex
 
 
+# Case folding for the marker and forbidden-word searches.  A text is
+# folded once and then matched by lowercase patterns case-sensitively,
+# which keeps sre's literal prefix scan that IGNORECASE turns off.
+# Besides A-Z, exactly four code points match an ASCII letter under
+# re.IGNORECASE; each maps to a letter, so word boundaries do not move
+# and the result equals an IGNORECASE search of the original text.
+# (str.lower() would turn U+0130 into "i" plus a combining dot.)
+_FOLD = {c: c + 32 for c in range(ord("A"), ord("Z") + 1)}
+_FOLD.update({0x130: ord("i"), 0x131: ord("i"), 0x17F: ord("s"),
+              0x212A: ord("k")})
+
+
+def _fold(text: str) -> str:
+    return text.lower() if text.isascii() else text.translate(_FOLD)
+
+
 @lru_cache(maxsize=16)
 def _markers_re(markers: tuple[str, ...]) -> re.Pattern | None:
-    """One pattern that matches wherever any of the markers stands as
-    whole words; None for an empty marker list, which matches nothing."""
+    """One pattern that matches folded text wherever any of the markers
+    stands as whole words; None for an empty marker list, which matches
+    nothing.  Markers must be ASCII, where folding is exact."""
     if not markers:
         return None
-    alternation = "|".join(re.escape(m) for m in markers)
-    return re.compile(rf"\b(?:{alternation})\b", re.IGNORECASE)
+    odd = [m for m in markers if not m.isascii()]
+    if odd:
+        raise InvariantError(f"classifier markers must be ASCII: {odd}")
+    alternation = "|".join(re.escape(m.lower()) for m in markers)
+    return re.compile(rf"\b(?:{alternation})\b")
+
+
+def _patterns(lexicon: dict) -> tuple:
+    # logic first: it takes precedence
+    return tuple((kind, _markers_re(tuple(lexicon[kind])))
+                 for kind in ("logic", "perception"))
+
+
+@lru_cache(maxsize=1)
+def _default_patterns() -> tuple:
+    return _patterns(load_lexicon())
 
 
 def classify_subquestion(text: str, lexicon: dict | None = None) -> str:
     """Tag a sub-question as perception (reads the chart) or logic
-    (operates on values already read).  Logic markers take precedence;
-    unmatched text defaults to logic."""
-    lex = lexicon or load_lexicon()
-    for kind in ("logic", "perception"):
-        pattern = _markers_re(tuple(lex[kind]))
-        if pattern is not None and pattern.search(text):
+    (operates on values already read).  Markers match as whole words in
+    any case; logic markers take precedence; unmatched text defaults to
+    logic."""
+    folded = _fold(text)
+    for kind, pattern in _patterns(lexicon) if lexicon else _default_patterns():
+        if pattern is not None and pattern.search(folded):
             return kind
     return "logic"
+
+
+_FORBIDDEN = re.compile(r"\btable\b")
+
+
+def _has_forbidden(text: str) -> bool:
+    """Whether the word "table" appears, in any case."""
+    folded = _fold(text)
+    return "table" in folded and _FORBIDDEN.search(folded) is not None
 
 
 _REF_RE = re.compile(
@@ -157,7 +196,7 @@ def format_trace(trace: ReasoningTrace) -> str:
         raise TraceFormatError(
             "no_final_answer",
             f"last answer {last!r} does not carry the final value")
-    if _FORBIDDEN.search(text):
+    if _has_forbidden(text):
         raise TraceFormatError("forbidden_word", "the word 'table' appears")
     return text
 
@@ -179,7 +218,7 @@ def validate_trace_text(
     lines = [ln.rstrip() for ln in text.replace("\r\n", "\n").split("\n")]
     lines = [ln for ln in lines if ln.strip()]
 
-    if _FORBIDDEN.search(text):
+    if _has_forbidden(text):
         violations.append(TraceViolation("forbidden_word", "found 'table'"))
 
     pos = 0

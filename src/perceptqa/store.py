@@ -353,8 +353,9 @@ class Dataset:
 
 def load_dataset(root: str | Path, verify: bool = True) -> Dataset:
     """Read a dataset directory back, verifying digests and split
-    hygiene.  verify=False skips digest checks (not the leakage check,
-    which always runs)."""
+    hygiene.  Verification also rejects any file under charts/ or qa/
+    that the manifest does not list.  verify=False skips both checks
+    (not the leakage check, which always runs)."""
     root = Path(root)
     manifest_path = root / MANIFEST_NAME
     if not manifest_path.is_file():
@@ -372,6 +373,14 @@ def load_dataset(root: str | Path, verify: bool = True) -> Dataset:
                 raise StoreError(
                     f"digest mismatch for {rel}: manifest {expected[:12]}..., "
                     f"file {actual[:12]}...")
+        for sub in (CHART_DIR, QA_DIR):
+            for dirpath, _, names in os.walk(root / sub):
+                base = Path(dirpath).relative_to(root).as_posix()
+                for name in sorted(names):
+                    if f"{base}/{name}" not in manifest.file_digests:
+                        raise StoreError(
+                            f"unlisted file {base}/{name}: the manifest "
+                            f"holds no digest for it")
 
     charts: dict[str, ChartSpec] = {}
     geoms: dict[str, GeometryMap] = {}

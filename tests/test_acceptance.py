@@ -290,7 +290,8 @@ def test_recorded_cache_replays_llm_run_byte_identically(tmp_path):
 
     server = HTTPServer(("127.0.0.1", 0), _StubHandler)
     port = server.server_address[1]
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+    threading.Thread(target=server.serve_forever, args=(0.05,),
+                     daemon=True).start()
     cache = tmp_path / "cache"
     common = ["--seed", "4", "--charts", "2", "--per-chart", "2",
               "--mode", "llm", "--model", "m-a", "--model-b", "m-b",

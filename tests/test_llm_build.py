@@ -121,7 +121,8 @@ def stub():
     server.lock = threading.Lock()
     server.posts = []
     server.reject = None
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,),
+                              daemon=True)
     thread.start()
     server.url = f"http://127.0.0.1:{server.server_address[1]}/v1/chat"
     try:

@@ -1,6 +1,10 @@
+import re
+import string
+import sys
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from perceptqa.charts import ChartSpec, DataTable, SeriesDescriptor, require_valid
 from perceptqa.errors import InvariantError, TraceFormatError
@@ -116,6 +120,76 @@ def test_custom_lexicon_is_honoured():
     empty = {"version": 0, "logic": [], "perception": ["glance"]}
     assert classify_subquestion("Tally the glance", empty) == "perception"
     assert classify_subquestion("Tally", empty) == "logic"
+
+
+def test_non_ascii_marker_is_rejected():
+    lex = {"version": 0, "logic": ["tally", "gr\u00f6\u00dfe"], "perception": []}
+    with pytest.raises(InvariantError, match="gr\u00f6\u00dfe"):
+        classify_subquestion("Tally", lex)
+
+
+def test_fold_covers_every_code_point_ignorecase_matches_to_a_letter():
+    # a Python that adds a case fold onto an ASCII letter fails here
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    for letter in string.ascii_lowercase:
+        matched = set(re.compile(letter, re.IGNORECASE).findall(every))
+        folds = {chr(c) for c, to in reasoning._FOLD.items() if chr(to) == letter}
+        assert matched == {letter} | folds, letter
+    # letters map to letters, so word boundaries stay where they were
+    assert all(chr(c).isalpha() for c in reasoning._FOLD)
+
+
+# every spelling of an ASCII letter that re.IGNORECASE accepts
+_SPELLINGS = {c: {c, c.upper()} for c in string.ascii_lowercase}
+_SPELLINGS["i"] |= {"\u0130", "\u0131"}
+_SPELLINGS["k"].add("\u212a")
+_SPELLINGS["s"].add("\u017f")
+
+
+def _spelled(word: str):
+    return st.tuples(*(st.sampled_from(sorted(_SPELLINGS.get(c.lower(), {c})))
+                       for c in word)).map("".join)
+
+
+_DEFAULT = load_lexicon()
+_CUSTOM = {"version": 0, "logic": ["Tally"], "perception": ["Glance", "is k"]}
+# one class's markers as the only perception markers: the label then
+# says whether any of them matched, which the default label can hide
+_LEXICONS = (None, _CUSTOM) + tuple(
+    {"version": 0, "logic": [], "perception": _DEFAULT[kind]}
+    for kind in ("logic", "perception"))
+_WORDS = st.sampled_from(sorted(set(
+    _DEFAULT["logic"] + _DEFAULT["perception"]
+    + _CUSTOM["logic"] + _CUSTOM["perception"])))
+_PIECES = st.one_of(
+    _WORDS.flatmap(_spelled),
+    _spelled("table"),
+    st.sampled_from(["\u0130", "\u0131", "\u017f", "\u212a", "\u0307", "1"]),
+    st.text(max_size=4),
+)
+_TEXTS = st.lists(
+    st.tuples(_PIECES, st.sampled_from([" ", " ", "", "_", "-", "\n"])),
+    max_size=6,
+).map(lambda parts: "".join(p + sep for p, sep in parts))
+
+
+def _reference_classify(text: str, lexicon: dict) -> str:
+    for kind in ("logic", "perception"):
+        markers = lexicon[kind]
+        alternation = "|".join(re.escape(m) for m in markers)
+        if markers and re.search(rf"\b(?:{alternation})\b", text, re.IGNORECASE):
+            return kind
+    return "logic"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_TEXTS)
+def test_folded_search_equals_an_ignorecase_search(text):
+    for lexicon in _LEXICONS:
+        assert (classify_subquestion(text, lexicon)
+                == _reference_classify(text, lexicon or _DEFAULT)), lexicon
+    assert reasoning._has_forbidden(text) == bool(
+        re.search(r"\btable\b", text, re.IGNORECASE))
 
 
 def test_infer_depends_reads_back_references():

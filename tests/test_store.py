@@ -183,6 +183,20 @@ def test_load_detects_corruption(corpus, tmp_path):
     assert len(ds.items) == len(items)
 
 
+@pytest.mark.parametrize("stray", ["qa/position.jsonl.tmp", "charts/x.svg"])
+def test_load_rejects_unlisted_files(corpus, tmp_path, stray):
+    charts, items, test_ids = corpus
+    root = tmp_path / "ds"
+    _write(root, charts, items, test_ids)
+    load_dataset(root)  # the clean build passes
+    (root / stray).write_text("left over\n", "utf-8")
+    with pytest.raises(StoreError, match=f"unlisted file {stray}") as err:
+        load_dataset(root)
+    assert "\n" not in str(err.value)
+    # unverified loads do not look for them
+    assert len(load_dataset(root, verify=False).items) == len(items)
+
+
 def test_load_detects_count_drift(corpus, tmp_path):
     charts, items, test_ids = corpus
     root = tmp_path / "ds"
