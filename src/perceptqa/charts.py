@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import cached_property
+from json.encoder import encode_basestring
 
 from .errors import ConfigError, SpecValidationError
 from .numformat import jsonable, strip_decimal
@@ -445,8 +446,65 @@ def _as_decimal(v) -> Decimal:
     raise ConfigError(f"chart values must be parsed exactly, got {type(v).__name__}")
 
 
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def dumps_indented(obj) -> str:
+    """The text of ``json.dumps(obj, indent=2, ensure_ascii=False)``.
+
+    With ``indent`` set, ``json`` encodes through closures that form
+    reference cycles on every call; this writer allocates none, so a
+    synthetic run leaves the cycle collector nothing to find.
+    """
+    out: list[str] = []
+    _emit(obj, "\n", out)
+    return "".join(out)
+
+
+def _emit(obj, newline: str, out: list[str]) -> None:
+    # newline is "\n" plus the current indent; types are tested in json's order
+    if isinstance(obj, str):
+        out.append(encode_basestring(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        text = float.__repr__(obj)
+        out.append(_NON_FINITE.get(text, text))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        out.append("[")
+        for value in obj:
+            out.append(inner)
+            _emit(value, inner, out)
+            out.append(",")
+        out[-1] = newline + "]"
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        out.append("{")
+        for key, value in obj.items():
+            out.append(inner + encode_basestring(key) + ": ")
+            _emit(value, inner, out)
+            out.append(",")
+        out[-1] = newline + "}"
+    else:
+        raise TypeError(
+            f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def dumps_chart(spec: ChartSpec) -> str:
-    return json.dumps(chart_to_dict(spec), indent=2, ensure_ascii=False) + "\n"
+    return dumps_indented(chart_to_dict(spec)) + "\n"
 
 
 def loads_chart(text: str) -> ChartSpec:

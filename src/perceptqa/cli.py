@@ -9,6 +9,7 @@ labeling.  Exit codes: 0 success, 1 bad input or validation failure,
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import sys
@@ -626,8 +627,15 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    collecting = gc.isenabled()
     try:
         args = parser.parse_args(argv)
+        # A synthetic command allocates no reference cycles
+        # (tests/test_cli.py guards this), so the collector's passes would
+        # free nothing.  An LLM build keeps it: thread pools, sockets and
+        # exceptions held in futures can form cycles.
+        if getattr(args, "mode", None) != "llm":
+            gc.disable()
         return args.func(args)
     except TransportError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -638,6 +646,9 @@ def main(argv=None) -> int:
     except PerceptQAError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -241,6 +241,9 @@ def metric_for(answer_type: str) -> str:
 _FINAL_TOKEN_NUM = re.compile(r"-?[\d,]*\d(?:\.\d+)?%?")
 _FINAL_TOKEN_OPT = re.compile(r"(?<![A-Za-z])\(?([A-D])\)?(?![A-Za-z])")
 _FINAL_TOKEN_BOOL = re.compile(r"\b(true|false|yes|no)\b", re.IGNORECASE)
+# the last numbered solution line of a trace that failed validation
+_SOLUTION_LINE = re.compile(r"^\s*\d+\)\s*(.*)$")
+_FINAL_PREFIX = re.compile(r"^final answer:\s*", re.IGNORECASE)
 
 
 def extract_answer_token(line: str, answer_type: str) -> str:
@@ -266,22 +269,16 @@ def _final_from_trace_text(text: str, answer_type: str) -> tuple[str, tuple[str,
     codes = tuple(v.code for v in violations)
     if trace is not None:
         return trace.final, codes
-    last_solution = None
-    for line in text.splitlines():
-        m = re.match(r"^\s*\d+\)\s*(.*)$", line)
+    lines = text.splitlines()
+    for line in reversed(lines):
+        m = _SOLUTION_LINE.match(line)
         if m:
-            last_solution = m.group(1)
-    candidate = last_solution if last_solution is not None else _last_line(text)
-    candidate = re.sub(r"^final answer:\s*", "", candidate.strip(),
-                       flags=re.IGNORECASE)
+            candidate = m.group(1)
+            break
+    else:
+        candidate = next((line for line in reversed(lines) if line.strip()), "")
+    candidate = _FINAL_PREFIX.sub("", candidate.strip())
     return extract_answer_token(candidate, answer_type), codes
-
-
-def _last_line(text: str) -> str:
-    for line in reversed(text.splitlines()):
-        if line.strip():
-            return line
-    return ""
 
 
 def score_item(pred_text: str, item: QAItem, mode: str = "short") -> EvalOutcome:

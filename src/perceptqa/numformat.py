@@ -12,6 +12,8 @@ from __future__ import annotations
 from decimal import Decimal, ROUND_HALF_UP
 
 DIV_QUANTUM = Decimal("0.0001")
+_ZERO = Decimal(0)
+_ONE = Decimal(1)
 
 
 def strip_decimal(value: Decimal) -> Decimal:
@@ -19,11 +21,11 @@ def strip_decimal(value: Decimal) -> Decimal:
     if not value.is_finite():
         raise ValueError(f"non-finite decimal: {value}")
     normalized = value.normalize()
-    exponent = normalized.as_tuple().exponent
-    if isinstance(exponent, int) and exponent > 0:
-        normalized = normalized.quantize(Decimal(1))
     if normalized == 0:
-        return Decimal(0)
+        return _ZERO
+    if normalized == normalized.to_integral_value():
+        # normalize() writes 100 as 1E+2; quantizing spells it out
+        return normalized.quantize(_ONE)
     return normalized
 
 

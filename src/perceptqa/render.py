@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from decimal import Decimal, ROUND_CEILING, ROUND_FLOOR
 from functools import cached_property
 
-from .charts import ChartSpec
+from .charts import ChartSpec, dumps_indented
 from .errors import QueryError, RenderError
 from .numformat import canon_number
 from .palette import COLOR_NAMES, color_hex
@@ -687,7 +687,7 @@ def geom_from_dict(d: dict) -> GeometryMap:
 
 
 def dumps_geom(geom: GeometryMap) -> str:
-    return json.dumps(geom_to_dict(geom), indent=2, ensure_ascii=False) + "\n"
+    return dumps_indented(geom_to_dict(geom)) + "\n"
 
 
 def loads_geom(text: str) -> GeometryMap:

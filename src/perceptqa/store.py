@@ -188,8 +188,9 @@ def _atomic_write(path: Path, data: bytes) -> str:
     try:
         tmp.write_bytes(data)
         os.replace(tmp, path)
-    finally:
+    except BaseException:
         tmp.unlink(missing_ok=True)
+        raise
     return _sha256_bytes(data)
 
 
@@ -309,9 +310,25 @@ _MALFORMED = (ValueError, KeyError, TypeError, AttributeError, IndexError,
               ArithmeticError)
 
 
-def _read_text(path: Path) -> str:
+def _read_listed(root: Path, rel: str, digests: dict | None) -> bytes:
+    """The bytes of one file the manifest lists, checked against its
+    digest when digests is given."""
     try:
-        return path.read_text("utf-8")
+        data = (root / rel).read_bytes()
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+        raise StoreError(f"manifest lists missing file {rel}") from None
+    if digests is not None:
+        expected, actual = digests[rel], _sha256_bytes(data)
+        if actual != expected:
+            raise StoreError(
+                f"digest mismatch for {rel}: manifest {expected[:12]}..., "
+                f"file {actual[:12]}...")
+    return data
+
+
+def _decode(data: bytes, path: Path) -> str:
+    try:
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise StoreError(f"{path}: not UTF-8 text: {exc}") from None
 
@@ -334,10 +351,10 @@ def _json_object(text: str) -> dict:
     return row
 
 
-def _read_jsonl(path: Path, parse):
+def _parse_jsonl(text: str, path: Path, parse):
     """Yield parse(line) for every non-blank line, naming path:line on
     a malformed one."""
-    for n, line in enumerate(_read_text(path).splitlines(), start=1):
+    for n, line in enumerate(text.splitlines(), start=1):
         if line.strip():
             yield _parse(parse, line, path, n)
 
@@ -353,53 +370,59 @@ class Dataset:
 
 def load_dataset(root: str | Path, verify: bool = True) -> Dataset:
     """Read a dataset directory back, verifying digests and split
-    hygiene.  Verification also rejects any file under charts/ or qa/
-    that the manifest does not list.  verify=False skips both checks
-    (not the leakage check, which always runs)."""
+    hygiene.  Every file the manifest lists is read once: its digest is
+    checked, then the same bytes are parsed.  Verification also rejects
+    any file under charts/ or qa/ that the manifest does not list.
+    verify=False skips both checks (not the leakage check, which always
+    runs)."""
     root = Path(root)
     manifest_path = root / MANIFEST_NAME
     if not manifest_path.is_file():
         raise StoreError(f"no {MANIFEST_NAME} under {root}")
     manifest = _parse(lambda text: manifest_from_dict(json.loads(text)),
-                      _read_text(manifest_path), manifest_path)
+                      _decode(manifest_path.read_bytes(), manifest_path),
+                      manifest_path)
+    listed = manifest.file_digests
+    digests = listed if verify else None
 
     if verify:
-        for rel, expected in manifest.file_digests.items():
-            path = root / rel
-            if not path.is_file():
-                raise StoreError(f"manifest lists missing file {rel}")
-            actual = _sha256_bytes(path.read_bytes())
-            if actual != expected:
-                raise StoreError(
-                    f"digest mismatch for {rel}: manifest {expected[:12]}..., "
-                    f"file {actual[:12]}...")
         for sub in (CHART_DIR, QA_DIR):
             for dirpath, _, names in os.walk(root / sub):
                 base = Path(dirpath).relative_to(root).as_posix()
                 for name in sorted(names):
-                    if f"{base}/{name}" not in manifest.file_digests:
+                    if f"{base}/{name}" not in listed:
                         raise StoreError(
                             f"unlisted file {base}/{name}: the manifest "
                             f"holds no digest for it")
 
+    # chart specs and geometry are parsed; a listed file that nothing
+    # parses (an SVG) is read only to check its digest
     charts: dict[str, ChartSpec] = {}
     geoms: dict[str, GeometryMap] = {}
-    for path in sorted((root / CHART_DIR).glob("*.json")):
-        if path.name.endswith(".geom.json"):
-            geom = _parse(loads_geom, _read_text(path), path)
-            geoms[geom.chart_id] = geom
-        else:
-            spec = _parse(loads_chart, _read_text(path), path)
-            charts[spec.chart_id] = spec
+    qa_rels = {f"{QA_DIR}/{fam}.jsonl" for fam in FAMILIES}
+    for rel in sorted(listed):
+        if rel.startswith(f"{CHART_DIR}/") and rel.endswith(".json"):
+            path = root / rel
+            text = _decode(_read_listed(root, rel, digests), path)
+            if rel.endswith(".geom.json"):
+                geom = _parse(loads_geom, text, path)
+                geoms[geom.chart_id] = geom
+            else:
+                spec = _parse(loads_chart, text, path)
+                charts[spec.chart_id] = spec
+        elif verify and rel not in qa_rels and rel != REVIEW_NAME:
+            _read_listed(root, rel, digests)
 
     items: list[QAItem] = []
     for fam in FAMILIES:
-        path = root / QA_DIR / f"{fam}.jsonl"
-        if not path.is_file():
+        rel = f"{QA_DIR}/{fam}.jsonl"
+        if rel not in listed:
             continue
+        path = root / rel
         count = 0
-        for item in _read_jsonl(
-                path, lambda line: item_from_dict(json.loads(line))):
+        for item in _parse_jsonl(
+                _decode(_read_listed(root, rel, digests), path), path,
+                lambda line: item_from_dict(json.loads(line))):
             if item.family != fam:
                 raise StoreError(
                     f"{path.name} holds an item of family {item.family!r}")
@@ -414,9 +437,11 @@ def load_dataset(root: str | Path, verify: bool = True) -> Dataset:
     check_leakage(items, manifest.holdout_chart_ids)
 
     review_rows: list[dict] = []
-    review_path = root / REVIEW_NAME
-    if review_path.is_file():
-        review_rows.extend(_read_jsonl(review_path, _json_object))
+    if REVIEW_NAME in listed:
+        review_path = root / REVIEW_NAME
+        review_rows.extend(_parse_jsonl(
+            _decode(_read_listed(root, REVIEW_NAME, digests), review_path),
+            review_path, _json_object))
 
     return Dataset(
         manifest=manifest,

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from decimal import Decimal
 
@@ -12,6 +13,7 @@ from perceptqa.charts import (
     SeriesDescriptor,
     chart_to_dict,
     dumps_chart,
+    dumps_indented,
     loads_chart,
     require_valid,
     sample_chart_spec,
@@ -70,6 +72,34 @@ def test_serialization_round_trip():
         spec = sample_chart_spec(seed)
         again = loads_chart(dumps_chart(spec))
         assert again == spec
+
+
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers()
+    | st.integers(min_value=-(2 ** 80), max_value=2 ** 80)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([-0.0, 1e16, 5e-324, 0.1 + 0.2, float("nan"),
+                       float("inf"), float("-inf")])
+    | st.text()
+    | st.text(alphabet="\"\\/\x00\x1f\x7f\n\t\u2028é€😀"))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_VALUES)
+def test_indented_writer_matches_json_dumps(value):
+    assert dumps_indented(value) == json.dumps(value, indent=2,
+                                               ensure_ascii=False)
+
+
+def test_indented_writer_rejects_what_json_rejects():
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        dumps_indented({"a": [Decimal(1)]})
 
 
 def test_values_serialize_without_float_drift():

@@ -322,6 +322,69 @@ def test_synthetic_commands_load_no_http_stack_or_thread_pool(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+_CYCLE_PROBE = textwrap.dedent("""
+    import gc, json, sys
+    from pathlib import Path
+    from perceptqa.cli import main
+    from perceptqa.reasoning import format_trace
+    from perceptqa.store import load_dataset
+
+    def cyclic_garbage(argv):
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        assert main(argv) == 0
+        assert gc.isenabled()
+        gc.collect()
+        found = len(gc.garbage)
+        gc.set_debug(0)
+        gc.garbage.clear()
+        return found
+
+    work, charts = Path(sys.argv[1]), sys.argv[2]
+    ds = str(work / "ds")
+    found = [cyclic_garbage(["build-dataset", "--seed", "2", "--charts", charts,
+                             "--per-chart", "4", "--out", ds])]
+    # gold answers and traces, so scoring reads and checks every trace
+    items = load_dataset(ds).items
+    for mode, pred in (("short", lambda i: i.answer),
+                       ("dot", lambda i: format_trace(i.trace))):
+        preds = work / f"{mode}.preds.jsonl"
+        preds.write_text("".join(
+            json.dumps({"qa_id": i.qa_id, "prediction": pred(i)}) + "\\n"
+            for i in items), "utf-8")
+        argv = ["evaluate", "--dataset", ds, "--predictions", str(preds),
+                "--mode", mode, "--out", str(work / f"{mode}.jsonl")]
+        found.append(cyclic_garbage(argv))
+    gc.disable()
+    assert main(argv) == 0
+    assert not gc.isenabled()
+    print(found)
+""")
+
+
+def test_synthetic_commands_leave_no_cyclic_garbage(tmp_path):
+    """Synthetic commands run with the cycle collector off, which is safe
+    only while they build no reference cycles per chart or per item: the
+    cyclic garbage each command leaves (its argument parser) must not
+    grow with the dataset.  main() hands the collector back as it found
+    it."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    found = {}
+    for charts in ("2", "12"):
+        work = tmp_path / charts
+        work.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", _CYCLE_PROBE, str(work), charts],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        found[charts] = json.loads(proc.stdout.splitlines()[-1])
+    assert found["2"] == found["12"]
+    assert all(0 < n < 1000 for n in found["2"]), found
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 

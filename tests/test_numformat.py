@@ -1,8 +1,8 @@
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from perceptqa.numformat import (
     canon_number,
@@ -107,3 +107,47 @@ def test_divide_matches_fraction_rounding(units, denom):
     if rem * 2 >= scaled.denominator:
         whole += 1
     assert got == Decimal(sign * whole).scaleb(-4)
+
+
+def _reference_strip_decimal(value: Decimal) -> Decimal:
+    """strip_decimal as first written, reading the exponent from as_tuple()."""
+    if not value.is_finite():
+        raise ValueError(f"non-finite decimal: {value}")
+    normalized = value.normalize()
+    exponent = normalized.as_tuple().exponent
+    if isinstance(exponent, int) and exponent > 0:
+        normalized = normalized.quantize(Decimal(1))
+    if normalized == 0:
+        return Decimal(0)
+    return normalized
+
+
+def _outcome(fn, value):
+    try:
+        return str(fn(value))
+    except (ValueError, InvalidOperation) as exc:
+        return type(exc)
+
+
+_DECIMALS = (
+    st.builds(lambda units, exp: Decimal(units).scaleb(exp),
+              st.integers(min_value=-(10 ** 28), max_value=10 ** 28),
+              st.integers(min_value=-40, max_value=40))
+    | st.builds(lambda digits, zeros, exp: Decimal(f"{digits}{'0' * zeros}E{exp}"),
+                st.integers(min_value=-(10 ** 6), max_value=10 ** 6),
+                st.integers(min_value=0, max_value=30),
+                st.integers(min_value=-35, max_value=35))
+    | st.decimals(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([Decimal(t) for t in (
+        "0", "-0", "0E+5", "-0.000", "100", "1E+2", "1.500", "-7.250",
+        "9" * 28, "9" * 29, "1" + "0" * 27, "1" + "0" * 28,
+        "9.99999999999999999999999999999", "NaN", "sNaN", "Infinity",
+        "-Infinity")]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_DECIMALS)
+def test_strip_decimal_matches_the_as_tuple_reference(value):
+    assert _outcome(strip_decimal, value) == _outcome(
+        _reference_strip_decimal, value)
+
