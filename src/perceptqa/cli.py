@@ -54,7 +54,13 @@ from .qagen import (
 from .queries import FAMILIES
 from .reasoning import load_lexicon
 from .render import dumps_geom, loads_geom, render_chart
-from .store import load_dataset, split_holdout, write_dataset
+from .store import (
+    _decode,
+    _parse,
+    load_dataset,
+    split_holdout,
+    write_dataset,
+)
 
 if TYPE_CHECKING:
     from concurrent.futures import Future
@@ -155,10 +161,9 @@ def _split_items(items, chart_ids, seed: int, holdout: float):
     train_ids, test_ids = split_holdout(
         list(chart_ids), seed=seed, fraction=holdout)
     held = set(test_ids)
-    out = [
-        replace(item, split="test" if item.chart_id in held else "train")
-        for item in items
-    ]
+    # items are built as train items; only the held-out ones are copied
+    out = [replace(item, split="test") if item.chart_id in held else item
+           for item in items]
     return out, test_ids
 
 
@@ -191,7 +196,7 @@ def _load_charts_dir(root: Path):
     for path in sorted(chart_dir.glob("*.json")):
         if path.name.endswith(".geom.json"):
             continue
-        spec = loads_chart(path.read_text("utf-8"))
+        spec = _parse(loads_chart, _decode(path.read_bytes(), path), path)
         svg_path = chart_dir / f"{spec.chart_id}.svg"
         geom_path = chart_dir / f"{spec.chart_id}.geom.json"
         if not svg_path.is_file() or not geom_path.is_file():
@@ -199,8 +204,9 @@ def _load_charts_dir(root: Path):
                               f"svg or geometry file")
         charts.append((
             spec,
-            svg_path.read_text("utf-8"),
-            loads_geom(geom_path.read_text("utf-8")),
+            _decode(svg_path.read_bytes(), svg_path),
+            _parse(loads_geom, _decode(geom_path.read_bytes(), geom_path),
+                   geom_path),
         ))
     if not charts:
         raise ConfigError(f"no chart files under {chart_dir}")
@@ -423,24 +429,26 @@ def _build_llm_items(charts, args):
 # evaluation
 
 def _read_jsonl(path: Path, what: str):
-    """Yield (line number, row) for every non-blank line of a JSONL file;
-    a missing file or a line that is not a JSON object is a ConfigError."""
+    """Yield (line number, row) for every non-blank line of a JSONL file,
+    read one line at a time; a missing file, or a line that is not UTF-8
+    or not a JSON object, is a ConfigError.  A line ends only at a line
+    feed: a JSON string may hold U+2028 and the other separators that
+    str.splitlines() splits at."""
     if not path.is_file():
         raise ConfigError(f"{what} file {path} does not exist")
-    try:
-        lines = path.read_text("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text: {exc}")
-    for n, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}:{n}: not valid JSON: {exc}")
-        if not isinstance(row, dict):
-            raise ConfigError(f"{path}:{n}: expected a JSON object")
-        yield n, row
+    with open(path, "rb") as fh:
+        for n, raw in enumerate(fh, start=1):
+            if raw.isspace():
+                continue
+            try:
+                row = json.loads(raw.decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{path}:{n}: not UTF-8 text: {exc}")
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{path}:{n}: not valid JSON: {exc}")
+            if not isinstance(row, dict):
+                raise ConfigError(f"{path}:{n}: expected a JSON object")
+            yield n, row
 
 
 def _read_predictions(path: Path) -> dict:

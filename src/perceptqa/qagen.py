@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import random
 import re
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from decimal import Decimal
@@ -127,17 +128,19 @@ def item_to_dict(item: QAItem) -> dict:
 
 
 def item_from_dict(d: dict) -> QAItem:
+    # the short strings that repeat on every row are interned, so a
+    # loaded dataset holds one copy of each
     options = d.get("options")
     return QAItem(
         qa_id=d["qa_id"],
         chart_id=d["chart_id"],
-        family=d["task"],
-        ops=tuple(d["ops"]),
+        family=sys.intern(d["task"]),
+        ops=tuple(map(sys.intern, d["ops"])),
         question=d["question"],
-        answer_type=d["answer_type"],
+        answer_type=sys.intern(d["answer_type"]),
         answer=d["answer"],
         trace=trace_from_dict(d["trace"]),
-        split=d.get("split", "train"),
+        split=sys.intern(d.get("split", "train")),
         options=tuple((o[0], o[1]) for o in options) if options else None,
         statement=d.get("statement"),
     )

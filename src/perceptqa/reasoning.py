@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import lru_cache
@@ -331,7 +332,7 @@ def trace_to_dict(trace: ReasoningTrace) -> dict:
 def trace_from_dict(d: dict) -> ReasoningTrace:
     return ReasoningTrace(
         subs=tuple(
-            SubQuestion(index=s["i"], kind=s["kind"],
+            SubQuestion(index=s["i"], kind=sys.intern(s["kind"]),
                         question=s["q"], answer=s["a"])
             for s in d["subs"]
         ),

@@ -180,18 +180,30 @@ class _Lock:
         return False
 
 
-def _atomic_write(path: Path, data: bytes) -> str:
+def _atomic_write(path: Path, chunks) -> str:
+    """Write the byte chunks to path through a temp file and rename it
+    into place; return the sha256 of what was written."""
     # one temp name per writer, as in the gateway's cache; a failed write
     # or rename leaves no temp file behind
     tmp = path.with_name(
         f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    digest = hashlib.sha256()
     try:
-        tmp.write_bytes(data)
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+                digest.update(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    return _sha256_bytes(data)
+    return digest.hexdigest()
+
+
+def _jsonl_chunks(rows):
+    """One encoded JSONL line per row."""
+    for row in rows:
+        yield (json.dumps(row, separators=(", ", ": ")) + "\n").encode("utf-8")
 
 
 def _validate_items(items: list[QAItem], chart_ids: set[str]) -> None:
@@ -256,34 +268,26 @@ def write_dataset(
 
         for spec, svg, geom in sorted(charts, key=lambda t: t[0].chart_id):
             base = f"{CHART_DIR}/{spec.chart_id}"
-            digests[f"{base}.json"] = _atomic_write(
-                root / f"{base}.json", dumps_chart(spec).encode("utf-8"))
-            digests[f"{base}.svg"] = _atomic_write(
-                root / f"{base}.svg", svg.encode("utf-8"))
-            digests[f"{base}.geom.json"] = _atomic_write(
-                root / f"{base}.geom.json", dumps_geom(geom).encode("utf-8"))
+            for rel, text in ((f"{base}.json", dumps_chart(spec)),
+                              (f"{base}.svg", svg),
+                              (f"{base}.geom.json", dumps_geom(geom))):
+                digests[rel] = _atomic_write(root / rel,
+                                             (text.encode("utf-8"),))
 
         by_family: dict[str, list[QAItem]] = {fam: [] for fam in FAMILIES}
         for item in items:
             by_family[item.family].append(item)
         for fam in FAMILIES:
             rows = sorted(by_family[fam], key=lambda i: i.qa_id)
-            text = "".join(
-                json.dumps(item_to_dict(i), separators=(", ", ": ")) + "\n"
-                for i in rows
-            )
             rel = f"{QA_DIR}/{fam}.jsonl"
-            digests[rel] = _atomic_write(root / rel, text.encode("utf-8"))
+            digests[rel] = _atomic_write(
+                root / rel, _jsonl_chunks(map(item_to_dict, rows)))
             if len(rows) != counts[fam]:
                 raise StoreError(
                     f"count drift for {fam}: {len(rows)} != {counts[fam]}")
 
-        review_text = "".join(
-            json.dumps(row, separators=(", ", ": ")) + "\n"
-            for row in (review_rows or [])
-        )
         digests[REVIEW_NAME] = _atomic_write(
-            root / REVIEW_NAME, review_text.encode("utf-8"))
+            root / REVIEW_NAME, _jsonl_chunks(review_rows or ()))
 
         manifest = DatasetManifest(
             dataset_id=dataset_id,
@@ -297,7 +301,7 @@ def write_dataset(
             file_digests=digests,
         )
         payload = json.dumps(manifest_to_dict(manifest), indent=2) + "\n"
-        _atomic_write(root / MANIFEST_NAME, payload.encode("utf-8"))
+        _atomic_write(root / MANIFEST_NAME, (payload.encode("utf-8"),))
     return manifest
 
 
@@ -310,19 +314,28 @@ _MALFORMED = (ValueError, KeyError, TypeError, AttributeError, IndexError,
               ArithmeticError)
 
 
+def _open_listed(root: Path, rel: str):
+    try:
+        return open(root / rel, "rb")
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+        raise StoreError(f"manifest lists missing file {rel}") from None
+
+
+def _check_digest(rel: str, digests: dict, actual: str) -> None:
+    expected = digests[rel]
+    if actual != expected:
+        raise StoreError(
+            f"digest mismatch for {rel}: manifest {expected[:12]}..., "
+            f"file {actual[:12]}...")
+
+
 def _read_listed(root: Path, rel: str, digests: dict | None) -> bytes:
     """The bytes of one file the manifest lists, checked against its
     digest when digests is given."""
-    try:
-        data = (root / rel).read_bytes()
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
-        raise StoreError(f"manifest lists missing file {rel}") from None
+    with _open_listed(root, rel) as fh:
+        data = fh.read()
     if digests is not None:
-        expected, actual = digests[rel], _sha256_bytes(data)
-        if actual != expected:
-            raise StoreError(
-                f"digest mismatch for {rel}: manifest {expected[:12]}..., "
-                f"file {actual[:12]}...")
+        _check_digest(rel, digests, _sha256_bytes(data))
     return data
 
 
@@ -351,12 +364,47 @@ def _json_object(text: str) -> dict:
     return row
 
 
-def _parse_jsonl(text: str, path: Path, parse):
-    """Yield parse(line) for every non-blank line, naming path:line on
-    a malformed one."""
-    for n, line in enumerate(text.splitlines(), start=1):
-        if line.strip():
-            yield _parse(parse, line, path, n)
+def _listed_rows(root: Path, rel: str, digests: dict | None, parse):
+    """Yield parse(line) for every non-blank line of a listed JSONL file,
+    naming path:line on a malformed one.
+
+    The file is read and hashed one line at a time, so no whole file is
+    held.  A line ends only at a line feed: a JSON string may hold U+2028
+    and the other separators that str.splitlines() splits at.  With digests,
+    a file that fails its digest is reported as such, also when a line
+    of it failed to parse first."""
+    path = root / rel
+    digest = hashlib.sha256()
+
+    def parse_line(line: bytes):
+        return parse(line.decode("utf-8"))
+
+    with _open_listed(root, rel) as fh:
+        try:
+            for n, line in enumerate(fh, start=1):
+                digest.update(line)
+                if not line.isspace():
+                    yield _parse(parse_line, line, path, n)
+        except StoreError:
+            if digests is not None:
+                for chunk in iter(lambda: fh.read(1 << 16), b""):
+                    digest.update(chunk)
+                _check_digest(rel, digests, digest.hexdigest())
+            raise
+    if digests is not None:
+        _check_digest(rel, digests, digest.hexdigest())
+
+
+def _family_item(fam: str, path: Path):
+    """A row parser for one family file: the row as a QAItem, which must
+    belong to that family."""
+    def parse(text: str) -> QAItem:
+        item = item_from_dict(json.loads(text))
+        if item.family != fam:
+            raise StoreError(
+                f"{path.name} holds an item of family {item.family!r}")
+        return item
+    return parse
 
 
 @dataclass(frozen=True)
@@ -370,8 +418,9 @@ class Dataset:
 
 def load_dataset(root: str | Path, verify: bool = True) -> Dataset:
     """Read a dataset directory back, verifying digests and split
-    hygiene.  Every file the manifest lists is read once: its digest is
-    checked, then the same bytes are parsed.  Verification also rejects
+    hygiene.  Every file the manifest lists is read once: a chart file
+    whole, its digest checked before it is parsed; a JSONL file line by
+    line, hashed as it is parsed.  Verification also rejects
     any file under charts/ or qa/ that the manifest does not list.
     verify=False skips both checks (not the leakage check, which always
     runs)."""
@@ -419,16 +468,9 @@ def load_dataset(root: str | Path, verify: bool = True) -> Dataset:
         if rel not in listed:
             continue
         path = root / rel
-        count = 0
-        for item in _parse_jsonl(
-                _decode(_read_listed(root, rel, digests), path), path,
-                lambda line: item_from_dict(json.loads(line))):
-            if item.family != fam:
-                raise StoreError(
-                    f"{path.name} holds an item of family {item.family!r}")
-            items.append(item)
-            count += 1
-        expected = manifest.counts.get(fam, 0)
+        before = len(items)
+        items.extend(_listed_rows(root, rel, digests, _family_item(fam, path)))
+        count, expected = len(items) - before, manifest.counts.get(fam, 0)
         if count != expected:
             raise StoreError(
                 f"{path.name}: {count} items, manifest says {expected}")
@@ -436,17 +478,15 @@ def load_dataset(root: str | Path, verify: bool = True) -> Dataset:
     _validate_items(items, set(charts))
     check_leakage(items, manifest.holdout_chart_ids)
 
-    review_rows: list[dict] = []
+    review_rows: tuple = ()
     if REVIEW_NAME in listed:
-        review_path = root / REVIEW_NAME
-        review_rows.extend(_parse_jsonl(
-            _decode(_read_listed(root, REVIEW_NAME, digests), review_path),
-            review_path, _json_object))
+        review_rows = tuple(_listed_rows(root, REVIEW_NAME, digests,
+                                         _json_object))
 
     return Dataset(
         manifest=manifest,
         charts=charts,
         geoms=geoms,
         items=tuple(items),
-        review_rows=tuple(review_rows),
+        review_rows=review_rows,
     )

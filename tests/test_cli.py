@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -121,6 +122,20 @@ def test_gen_qa_requires_staged_charts(tmp_path, capsys):
     assert "gen-charts first" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("victim", [".json", ".geom.json"])
+def test_gen_qa_rejects_a_malformed_chart_file(tmp_path, capsys, victim):
+    out = tmp_path / "staged"
+    assert main(["gen-charts", "--seed", "1", "--charts", "2",
+                 "--out", str(out)]) == 0
+    path = sorted((out / "charts").glob(f"*{victim}"))[0]
+    path.write_text('["x"]', "utf-8")
+    capsys.readouterr()
+    assert main(["gen-qa", "--seed", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: malformed")
+    assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # evaluate and report
 
@@ -226,6 +241,70 @@ def test_malformed_jsonl_line_exits_1(built, tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}:")
     assert err.count("\n") == 1
+
+
+_SEPARATORS = ["\u2028", "\u2029", "\u0085"]
+
+
+@pytest.mark.parametrize("separator", _SEPARATORS)
+def test_prediction_may_hold_unicode_line_separators(built, tmp_path,
+                                                      separator):
+    """A row written with ensure_ascii=False may hold a raw U+2028,
+    U+2029 or U+0085 inside a JSON string; it is still one row."""
+    out, ds = built
+    first = ds.items[0]
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text(json.dumps(
+        {"qa_id": first.qa_id, "prediction": first.answer + separator},
+        ensure_ascii=False) + "\n", "utf-8")
+    outcomes = tmp_path / "outcomes.jsonl"
+    assert main(["evaluate", "--dataset", str(out), "--predictions",
+                 str(preds), "--out", str(outcomes)]) == 0
+    rows = {row["qa_id"]: row for row in map(
+        json.loads, outcomes.read_text("utf-8").splitlines())}
+    assert rows[first.qa_id]["passed"] is True
+
+
+@pytest.mark.parametrize("command", ["evaluate", "report", "label"])
+@pytest.mark.parametrize("separator", _SEPARATORS)
+def test_line_numbers_count_past_unicode_line_separators(
+        built, tmp_path, capsys, command, separator):
+    out, ds = built
+    text = f"a{separator}b"
+    row = {
+        "evaluate": {"qa_id": ds.items[0].qa_id, "prediction": text},
+        "report": {"family": "extract", "qa_id": "q1", "metric": "anls",
+                   "score": 0.0, "passed": False, "pred": text, "gold": "c"},
+        "label": {"qa_id": "q1", "answer_a": text, "answer_b": text},
+    }[command]
+    bad = tmp_path / "input.jsonl"
+    bad.write_text(json.dumps(row, ensure_ascii=False) + '\n{"qa_id": \n',
+                   "utf-8")
+    argv = {
+        "evaluate": ["evaluate", "--dataset", str(out), "--predictions",
+                     str(bad), "--out", str(tmp_path / "o.jsonl")],
+        "report": ["report", "--outcomes", str(bad)],
+        "label": ["label", "--pairs", str(bad),
+                  "--accepted", str(tmp_path / "a.jsonl"),
+                  "--review", str(tmp_path / "r.jsonl")],
+    }[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {bad}:2: not valid JSON")
+
+
+def test_read_predictions_never_holds_the_whole_file(tmp_path):
+    path = tmp_path / "preds.jsonl"
+    _write_jsonl(path, [{"qa_id": f"q{n:05d}", "prediction": "x" * 100}
+                        for n in range(2000)])
+    tracemalloc.start()
+    try:
+        preds = cli._read_predictions(path)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(preds) == 2000
+    assert peak - current < path.stat().st_size
 
 
 def test_report_rerenders_evaluate_output(built, tmp_path, capsys):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -239,6 +240,42 @@ def test_malformed_family_line_is_a_one_line_store_error(corpus, tmp_path,
     assert "\n" not in str(err.value)
 
 
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"])
+def test_family_line_may_hold_unicode_line_separators(corpus, tmp_path,
+                                                      separator):
+    """A JSON string may hold a raw U+2028, U+2029 or U+0085; the row
+    stays one line, and later line numbers stay right."""
+    charts, items, test_ids = corpus
+    root = tmp_path / "ds"
+    _write(root, charts, items, test_ids)
+    path = root / "qa" / f"{items[0].family}.jsonl"
+    lines = path.read_text("utf-8").split("\n")[:-1]
+    row = json.loads(lines[0])
+    row["question"] = row["question"].replace(" ", separator, 1)
+    lines[0] = json.dumps(row, ensure_ascii=False)
+    path.write_text("\n".join(lines) + "\n", "utf-8")
+    loaded = {i.qa_id: i for i in load_dataset(root, verify=False).items}
+    assert loaded[row["qa_id"]].question == row["question"]
+
+    path.write_text("\n".join(lines + ["{broken"]) + "\n", "utf-8")
+    with pytest.raises(StoreError) as err:
+        load_dataset(root, verify=False)
+    assert str(err.value).startswith(f"{path}:{len(lines) + 1}: ")
+
+
+def test_tampered_family_file_is_a_digest_mismatch_before_malformed(
+        corpus, tmp_path):
+    charts, items, test_ids = corpus
+    root = tmp_path / "ds"
+    _write(root, charts, items, test_ids)
+    path = root / "qa" / f"{items[0].family}.jsonl"
+    path.write_text("{broken\n" + path.read_text("utf-8"), "utf-8")
+    with pytest.raises(StoreError, match="digest mismatch for qa/"):
+        load_dataset(root)
+    with pytest.raises(StoreError, match=f"^{path}:1: malformed"):
+        load_dataset(root, verify=False)
+
+
 @pytest.mark.parametrize("victim", ["manifest.json", "chart", "geom",
                                     "review_queue.jsonl"])
 def test_malformed_json_file_is_a_one_line_store_error(corpus, tmp_path,
@@ -399,3 +436,45 @@ def test_lock_error_names_a_dead_writer(corpus, tmp_path):
         _write(root, charts, items, test_ids)
     assert "remove .lock" in str(err.value)
     assert (root / ".lock").exists()
+
+
+# ---------------------------------------------------------------------------
+# memory: JSONL files pass through one line at a time
+
+@pytest.fixture(scope="module")
+def wide(tmp_path_factory):
+    """Eight charts at 40 items each, written: its family files are far
+    larger than any chart file."""
+    charts = rendered_pool(8)
+    items, _ = generate_items([(spec, geom) for spec, _, geom in charts],
+                              GenConfig(per_chart=40, seed=3))
+    root = tmp_path_factory.mktemp("wide") / "ds"
+    _write(root, charts, items, ())
+    largest = max(p.stat().st_size for p in root.rglob("*") if p.is_file())
+    assert largest == max(p.stat().st_size for p in root.glob("qa/*.jsonl"))
+    return charts, items, root, largest
+
+
+def _held_beyond_result(fn):
+    """Call fn() under tracemalloc; return the most memory it held at
+    once beyond what it still held when it returned."""
+    tracemalloc.start()
+    try:
+        result = fn()  # noqa: F841 - what it returns is held, not transient
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - current
+
+
+def test_write_dataset_never_holds_a_whole_family_file(wide, tmp_path):
+    charts, items, _, largest = wide
+    held = _held_beyond_result(
+        lambda: _write(tmp_path / "ds", charts, items, ()))
+    assert held < largest
+
+
+def test_load_dataset_never_holds_a_whole_family_file(wide):
+    _, items, root, largest = wide
+    held = _held_beyond_result(lambda: load_dataset(root))
+    assert held < largest
