@@ -11,9 +11,11 @@ from __future__ import annotations
 import argparse
 import gc
 import hashlib
+import heapq
 import json
 import sys
 from dataclasses import replace
+from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -55,9 +57,13 @@ from .queries import FAMILIES
 from .reasoning import load_lexicon
 from .render import dumps_geom, loads_geom, render_chart
 from .store import (
+    CHART_DIR,
+    AtomicFile,
+    DatasetReader,
+    _atomic_write,
     _decode,
     _parse,
-    load_dataset,
+    load_dataset,  # not called here: perfbench/tracer.py wraps cli.load_dataset
     split_holdout,
     write_dataset,
 )
@@ -131,14 +137,10 @@ def _write_run_record(out: Path, command: str, config: dict,
         json.dumps(record, indent=2) + "\n", encoding="utf-8")
 
 
-def _make_charts(seed: int, count: int):
-    charts = []
-    for i in range(count):
-        spec = sample_chart_spec(stable_seed(seed, "chart", i))
-        require_valid(spec)
-        svg, geom = render_chart(spec)
-        charts.append((spec, svg, geom))
-    return charts
+def _sample_spec(seed: int, index: int):
+    spec = sample_chart_spec(stable_seed(seed, "chart", index))
+    require_valid(spec)
+    return spec
 
 
 def _validate_gen_args(args) -> None:
@@ -155,16 +157,31 @@ def _validate_gen_args(args) -> None:
             raise ConfigError("--mode llm requires --model")
 
 
-def _split_items(items, chart_ids, seed: int, holdout: float):
-    if holdout == 0:
-        return items, ()
-    train_ids, test_ids = split_holdout(
-        list(chart_ids), seed=seed, fraction=holdout)
-    held = set(test_ids)
-    # items are built as train items; only the held-out ones are copied
-    out = [replace(item, split="test") if item.chart_id in held else item
-           for item in items]
-    return out, test_ids
+def _check_chart_ids(specs) -> None:
+    """Reject chart ids that streaming cannot write in the order the
+    family files keep.  Rows are appended chart by chart, which is qa_id
+    order unless one chart id extends another with "-" (or a character
+    sorting before it): the rows of "a-b" sort before those of "a"."""
+    ids = sorted(spec.chart_id for spec in specs)
+    for a, b in zip(ids, ids[1:]):
+        if a == b:
+            raise ConfigError(f"duplicate chart_id {a!r}")
+        if b.startswith(a) and b[len(a)] <= "-":
+            raise ConfigError(
+                f"chart id {b!r} extends chart id {a!r} with {b[len(a)]!r}, "
+                f"so their question ids would not sort in chart order; "
+                f"rename one of them")
+
+
+def _with_split(charts, items_of, held):
+    """Yield (spec, svg, geometry, items) per chart, with items_of(spec,
+    geometry) moved to the test split when the chart is held out."""
+    for spec, svg, geom in charts:
+        items = items_of(spec, geom)
+        if spec.chart_id in held:
+            # items are built as train items; only held-out ones are copied
+            items = [replace(item, split="test") for item in items]
+        yield spec, svg, geom, items
 
 
 # ---------------------------------------------------------------------------
@@ -172,90 +189,123 @@ def _split_items(items, chart_ids, seed: int, holdout: float):
 
 def cmd_gen_charts(args) -> int:
     _validate_gen_args(args)
+    if args.charts is None:
+        raise ConfigError("--charts is required")
     out = Path(args.out)
-    charts = _make_charts(args.seed, args.charts)
-    chart_dir = out / "charts"
+    chart_dir = out / CHART_DIR
     chart_dir.mkdir(parents=True, exist_ok=True)
-    for spec, svg, geom in charts:
+    for i in range(args.charts):
+        spec = _sample_spec(args.seed, i)
+        svg, geom = render_chart(spec)
         (chart_dir / f"{spec.chart_id}.json").write_text(
             dumps_chart(spec), encoding="utf-8")
         (chart_dir / f"{spec.chart_id}.svg").write_text(svg, encoding="utf-8")
         (chart_dir / f"{spec.chart_id}.geom.json").write_text(
             dumps_geom(geom), encoding="utf-8")
     _write_run_record(out, "gen-charts", _config_dict(args), args.endpoint)
-    print(f"wrote {len(charts)} charts under {chart_dir}")
+    print(f"wrote {args.charts} charts under {chart_dir}")
     return 0
 
 
-def _load_charts_dir(root: Path):
-    chart_dir = root / "charts"
+def _read_specs(chart_dir: Path) -> list:
+    """The chart specs under chart_dir, in file name order; each must
+    have its SVG and geometry file beside it."""
     if not chart_dir.is_dir():
-        raise ConfigError(f"no charts/ directory under {root}; "
+        raise ConfigError(f"no charts/ directory under {chart_dir.parent}; "
                           f"run gen-charts first")
-    charts = []
+    specs = []
     for path in sorted(chart_dir.glob("*.json")):
         if path.name.endswith(".geom.json"):
             continue
         spec = _parse(loads_chart, _decode(path.read_bytes(), path), path)
-        svg_path = chart_dir / f"{spec.chart_id}.svg"
-        geom_path = chart_dir / f"{spec.chart_id}.geom.json"
-        if not svg_path.is_file() or not geom_path.is_file():
-            raise ConfigError(f"chart {spec.chart_id} is missing its "
-                              f"svg or geometry file")
-        charts.append((
-            spec,
-            _decode(svg_path.read_bytes(), svg_path),
-            _parse(loads_geom, _decode(geom_path.read_bytes(), geom_path),
-                   geom_path),
-        ))
-    if not charts:
+        for ext in (".svg", ".geom.json"):
+            if not (chart_dir / f"{spec.chart_id}{ext}").is_file():
+                raise ConfigError(f"chart {spec.chart_id} is missing its "
+                                  f"svg or geometry file")
+        specs.append(spec)
+    if not specs:
         raise ConfigError(f"no chart files under {chart_dir}")
-    return charts
+    return specs
 
 
 def cmd_build_dataset(args) -> int:
     """gen-qa and build-dataset: phrase questions for charts read from
-    --out (gen-qa) or sampled here (build-dataset), then write the dataset."""
+    --out (gen-qa) or sampled here (build-dataset), then write the
+    dataset.  Every spec is read or sampled first; then each chart in
+    chart_id order is rendered (or read), given its questions and
+    written before the next, except that an LLM build holds every chart
+    while it sends all its question requests at once."""
     _validate_gen_args(args)
+    out = Path(args.out)
     if args.command == "gen-qa":
-        charts = _load_charts_dir(Path(args.out))
-        args.charts = len(charts)
+        chart_dir = out / CHART_DIR
+        specs = _read_specs(chart_dir)
+        args.charts = len(specs)
+
+        def draw(spec):  # the SVG and geometry stored beside the spec
+            svg_path = chart_dir / f"{spec.chart_id}.svg"
+            geom_path = chart_dir / f"{spec.chart_id}.geom.json"
+            geom_text = _decode(geom_path.read_bytes(), geom_path)
+            return (_decode(svg_path.read_bytes(), svg_path),
+                    _parse(loads_geom, geom_text, geom_path))
     else:
         if args.charts is None:
             raise ConfigError("--charts is required")
-        charts = _make_charts(args.seed, args.charts)
+        specs = [_sample_spec(args.seed, i) for i in range(args.charts)]
+        draw = render_chart
+    _check_chart_ids(specs)
+    test_ids = ()
+    if args.holdout:
+        _, test_ids = split_holdout([spec.chart_id for spec in specs],
+                                    seed=args.seed, fraction=args.holdout)
 
+    shortfall = 0
     if args.mode == "llm":
+        # asked in the order the specs were drawn, which the review
+        # queue's row order follows; written in chart_id order
+        charts = [(spec, *draw(spec)) for spec in specs]
         items, review_rows = _build_llm_items(charts, args)
-    else:
-        items, stats = generate_items(
-            [(spec, geom) for spec, _, geom in charts],
-            GenConfig(per_chart=args.per_chart,
-                      family_weights=args.weights or DEFAULT_FAMILY_WEIGHTS,
-                      seed=args.seed))
-        review_rows = []
-        if stats.shortfall:
-            print(f"note: {stats.shortfall} requested items exceeded "
-                  f"chart capacity", file=sys.stderr)
+        by_chart: dict[str, list[QAItem]] = {}
+        for item in items:
+            by_chart.setdefault(item.chart_id, []).append(item)
+        charts.sort(key=lambda chart: chart[0].chart_id)
 
-    out = Path(args.out)
+        def items_of(spec, geom):
+            return by_chart.pop(spec.chart_id, [])
+    else:
+        review_rows = []
+        specs.sort(key=lambda spec: spec.chart_id)
+        charts = ((spec, *draw(spec)) for spec in specs)
+        gen_config = GenConfig(
+            per_chart=args.per_chart,
+            family_weights=args.weights or DEFAULT_FAMILY_WEIGHTS,
+            seed=args.seed)
+        # the planner's running family counts, carried from chart to chart
+        planned = {f: 0 for f in FAMILY_NAMES}
+
+        def items_of(spec, geom):
+            nonlocal shortfall
+            items, stats = generate_items([(spec, geom)], gen_config, planned)
+            shortfall += stats.shortfall
+            return items
+
     config = _config_dict(args)
-    chart_ids = [spec.chart_id for spec, _, _ in charts]
-    items, test_ids = _split_items(items, chart_ids, args.seed, args.holdout)
     manifest = write_dataset(
         out,
         dataset_id=f"ds-{_config_digest(config)[:12]}",
-        charts=charts,
-        items=items,
+        charts=_with_split(charts, items_of, set(test_ids)),
         holdout_chart_ids=test_ids,
         config_digest=_config_digest(config),
         tool_version=__version__,
         template_hashes=verify_templates() if args.mode == "llm" else {},
         review_rows=review_rows,
     )
+    if shortfall:
+        print(f"note: {shortfall} requested items exceeded "
+              f"chart capacity", file=sys.stderr)
     _write_run_record(out, args.command, config, args.endpoint)
-    counts = " ".join(f"{fam}={manifest.counts[fam]}" for fam in FAMILY_NAMES)
-    print(f"dataset {manifest.dataset_id}: {counts} "
+    summary = " ".join(f"{fam}={manifest.counts[fam]}" for fam in FAMILY_NAMES)
+    print(f"dataset {manifest.dataset_id}: {summary} "
           f"(train={manifest.train_size} test={manifest.test_size})")
     return 0
 
@@ -464,40 +514,61 @@ def _read_predictions(path: Path) -> dict:
     return preds
 
 
+def _scored(items, preds: dict, mode: str, out, tally: dict):
+    """Score each item against its prediction, popped from preds, and
+    write its outcome row to out; yield (family, outcome) for aggregate.
+    tally["missing"] counts the items that had no prediction."""
+    for item in items:
+        pred = preds.pop(item.qa_id, None)
+        if pred is None:
+            tally["missing"] += 1
+            pred = ""
+        outcome = score_item(pred, item, mode)
+        row = {"family": item.family}
+        row.update(outcome_to_dict(outcome))
+        out.write((json.dumps(row) + "\n").encode("utf-8"))
+        yield item.family, outcome
+
+
 def cmd_evaluate(args) -> int:
-    dataset = load_dataset(args.dataset)
+    """Score a predictions file item by item.  The family files are
+    merged in qa_id order, each item is scored and its outcome written as
+    it is read, and the outcomes and report land only once every dataset
+    file has passed its checks."""
+    reader = DatasetReader(args.dataset)
+    # chart files are verified and parsed like every listed file; scoring
+    # reads none of them, so none is kept
+    for _ in reader.charts():
+        pass
     preds = _read_predictions(Path(args.predictions))
-    id_set = {item.qa_id for item in dataset.items}
-    stray = sorted(set(preds) - id_set)
+    tally = {"missing": 0}
+    with AtomicFile(Path(args.out)) as out:
+        items = heapq.merge(*map(reader.items, FAMILIES),
+                            key=attrgetter("qa_id"))
+        report = aggregate(_scored(items, preds, args.mode, out, tally),
+                           list(FAMILIES))
+        for _ in reader.review_rows():
+            pass
+
+    stray = sorted(preds)  # predictions no item took
     for qa_id in stray[:20]:
         print(f"note: prediction for unknown qa_id {qa_id}", file=sys.stderr)
     if len(stray) > 20:
         print(f"note: ...and {len(stray) - 20} more unknown qa_ids",
               file=sys.stderr)
-    missing = sum(1 for item in dataset.items if item.qa_id not in preds)
-    if missing:
-        print(f"note: {missing} items have no prediction; scoring them 0",
-              file=sys.stderr)
-
-    scored = []
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for item in sorted(dataset.items, key=lambda i: i.qa_id):
-            outcome = score_item(preds.get(item.qa_id, ""), item, args.mode)
-            scored.append((item.family, outcome))
-            row = {"family": item.family}
-            row.update(outcome_to_dict(outcome))
-            fh.write(json.dumps(row) + "\n")
-
-    report = aggregate(scored, list(FAMILIES))
-    report_path = Path(args.report) if args.report else None
-    if report_path:
-        report_path.write_text(report_to_json(report), encoding="utf-8")
+    if tally["missing"]:
+        print(f"note: {tally['missing']} items have no prediction; "
+              f"scoring them 0", file=sys.stderr)
+    if args.report:
+        _atomic_write(Path(args.report),
+                      report_to_json(report).encode("utf-8"))
     print(format_report_table(report))
     return 0
 
 
 def _outcomes_from_file(path: Path):
-    scored = []
+    """Yield (family, EvalOutcome) for each row of an outcomes file."""
+    n = 0
     for n, row in _read_jsonl(path, "outcomes"):
         try:
             outcome = EvalOutcome(
@@ -509,17 +580,16 @@ def _outcomes_from_file(path: Path):
                 gold_canonical=row["gold"],
                 format_violations=tuple(row.get("violations", ())),
             )
-            scored.append((row["family"], outcome))
+            yield row["family"], outcome
         except KeyError as exc:
             raise ConfigError(f"{path}:{n}: missing key {exc}")
-    if not scored:
+    if not n:
         raise ConfigError(f"{path} holds no outcomes")
-    return scored
 
 
 def cmd_report(args) -> int:
-    scored = _outcomes_from_file(Path(args.outcomes))
-    report = aggregate(scored, list(FAMILIES))
+    report = aggregate(_outcomes_from_file(Path(args.outcomes)),
+                       list(FAMILIES))
     if args.json:
         Path(args.json).write_text(report_to_json(report), encoding="utf-8")
     print(format_report_table(report))

@@ -339,16 +339,14 @@ def _pct(total: Decimal, n: int) -> Decimal:
     return (total * 100 / n).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP)
 
 
-def aggregate(outcomes: list, families: list[str]) -> Report:
+def aggregate(outcomes, families: list[str]) -> Report:
     """Average scores per family and overall, on a 0-100 scale rounded
     half-up to two decimals.  The overall figure averages over items,
     not over family means.
 
-    outcomes pairs each EvalOutcome with its item's family:
-    a list of (family, EvalOutcome).
+    outcomes is any iterable of (family, EvalOutcome) pairs, each an
+    outcome with its item's family; it is read once.
     """
-    if not outcomes:
-        raise ConfigError("cannot aggregate an empty outcome list")
     sums: dict[str, Decimal] = {}
     counts: dict[str, int] = {}
     violation_counts: dict[str, int] = {}
@@ -365,10 +363,12 @@ def aggregate(outcomes: list, families: list[str]) -> Report:
             items_with_violations += 1
             for code in out.format_violations:
                 violation_counts[code] = violation_counts.get(code, 0) + 1
+    n = sum(counts.values())
+    if not n:
+        raise ConfigError("cannot aggregate an empty outcome list")
     by_family = {
         fam: _pct(sums[fam], counts[fam]) for fam in counts
     }
-    n = len(outcomes)
     return Report(
         by_family=by_family,
         overall=_pct(total, n),

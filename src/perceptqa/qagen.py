@@ -876,10 +876,15 @@ class GenStats:
 def generate_items(
     charts: list[tuple[ChartSpec, GeometryMap]],
     config: GenConfig | None = None,
+    counts: dict | None = None,
 ) -> tuple[list[QAItem], GenStats]:
     """Generate questions across charts, steering the realized family mix
     toward the configured weights while respecting each chart's candidate
-    counts."""
+    counts.
+
+    counts holds the planner's running item count per family and is
+    updated in place: successive calls on charts in chart_id order that
+    share one counts dict yield what one call on all of them yields."""
     config = config or GenConfig()
     config.validate()
     if not charts:
@@ -888,8 +893,9 @@ def generate_items(
     # items no matter how the caller happened to order the list
     charts = sorted(charts, key=lambda pair: pair[0].chart_id)
     weights = dict(config.family_weights)
-    counts = {f: 0 for f in FAMILY_NAMES}
-    total = 0
+    if counts is None:
+        counts = {f: 0 for f in FAMILY_NAMES}
+    total = sum(counts.values())
     items: list[QAItem] = []
     skips: list[str] = []
     shortfall = 0

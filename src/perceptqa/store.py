@@ -2,10 +2,12 @@
 
 A dataset is a directory: chart specs, rendered SVGs, and geometry maps
 under charts/, one JSONL file per task family under qa/, a manifest with
-per-file content digests, and a review queue for disputed labels.  Writes
-are atomic (temp file then rename), guarded by a lock file, and verified
-against the manifest on load.  Nothing in the layout depends on the
-clock, so identical inputs produce byte-identical datasets.
+per-file content digests, and a review queue for disputed labels.  A
+dataset is written and read one chart, and one row, at a time.  Every
+file is written through a temp file and renamed into place, the manifest
+last, under a lock file, and verified against the manifest on load.
+Nothing in the layout depends on the clock, so identical inputs produce
+byte-identical datasets.
 """
 
 from __future__ import annotations
@@ -14,8 +16,12 @@ import hashlib
 import json
 import os
 import random
+import shutil
 import threading
+from contextlib import ExitStack
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 
 from .charts import ChartSpec, dumps_chart, loads_chart
@@ -118,18 +124,44 @@ def split_holdout(chart_ids: list[str], seed: int,
     return train, test
 
 
+def _check_split(item: QAItem, held) -> None:
+    if item.split == "train" and item.chart_id in held:
+        raise StoreError(
+            f"leakage: train item {item.qa_id} references held-out "
+            f"chart {item.chart_id}")
+    if item.split == "test" and item.chart_id not in held:
+        raise StoreError(
+            f"leakage: test item {item.qa_id} references non-held-out "
+            f"chart {item.chart_id}")
+
+
 def check_leakage(items: list[QAItem], holdout_chart_ids) -> None:
     """A train item on a held-out chart is label leakage; abort."""
     held = set(holdout_chart_ids)
     for item in items:
-        if item.split == "train" and item.chart_id in held:
-            raise StoreError(
-                f"leakage: train item {item.qa_id} references held-out "
-                f"chart {item.chart_id}")
-        if item.split == "test" and item.chart_id not in held:
-            raise StoreError(
-                f"leakage: test item {item.qa_id} references non-held-out "
-                f"chart {item.chart_id}")
+        _check_split(item, held)
+
+
+def _check_item(item: QAItem, chart_ids, held, qa_ids: set,
+                questions: set) -> None:
+    """Check one item as it streams past: its chart must be in chart_ids,
+    its split must match held, and its id and its question on that chart
+    must be new to qa_ids and questions, which record them."""
+    if item.qa_id in qa_ids:
+        raise StoreError(f"duplicate qa_id {item.qa_id}")
+    qa_ids.add(item.qa_id)
+    if item.chart_id not in chart_ids:
+        raise StoreError(
+            f"item {item.qa_id} references missing chart {item.chart_id}")
+    qkey = (item.chart_id, _normalize_question(item.question))
+    if qkey in questions:
+        raise StoreError(
+            f"duplicate question on chart {item.chart_id}: "
+            f"{item.question!r}")
+    questions.add(qkey)
+    if item.family not in FAMILIES:
+        raise StoreError(f"item {item.qa_id} has unknown family {item.family!r}")
+    _check_split(item, held)
 
 
 # ---------------------------------------------------------------------------
@@ -180,57 +212,92 @@ class _Lock:
         return False
 
 
-def _atomic_write(path: Path, chunks) -> str:
-    """Write the byte chunks to path through a temp file and rename it
-    into place; return the sha256 of what was written."""
-    # one temp name per writer, as in the gateway's cache; a failed write
-    # or rename leaves no temp file behind
-    tmp = path.with_name(
-        f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
-    digest = hashlib.sha256()
-    try:
-        with open(tmp, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-                digest.update(chunk)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    return digest.hexdigest()
+class AtomicFile:
+    """A file written in binary through a temp file and hashed as it is
+    written.  Leaving the with block renames it into place; an error in
+    the block, or in the rename, removes the temp file instead."""
+
+    def __init__(self, path: Path):
+        self.path = path
+        # one temp name per writer, as in the gateway's cache
+        self.tmp = path.with_name(
+            f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+        self.sha256 = hashlib.sha256()
+
+    def __enter__(self):
+        self._fh = open(self.tmp, "wb")
+        return self
+
+    def write(self, data: bytes) -> None:
+        self._fh.write(data)
+        self.sha256.update(data)
+
+    def __exit__(self, exc_type, *_):
+        renamed = False
+        try:
+            self._fh.close()
+            if exc_type is None:
+                os.replace(self.tmp, self.path)
+                renamed = True
+        finally:
+            if not renamed:
+                self.tmp.unlink(missing_ok=True)
+        return False
 
 
-def _jsonl_chunks(rows):
-    """One encoded JSONL line per row."""
-    for row in rows:
-        yield (json.dumps(row, separators=(", ", ": ")) + "\n").encode("utf-8")
+def _atomic_write(path: Path, data: bytes) -> str:
+    """Write data to path through a temp file; return its sha256."""
+    with AtomicFile(path) as fh:
+        fh.write(data)
+    return fh.sha256.hexdigest()
 
 
-def _validate_items(items: list[QAItem], chart_ids: set[str]) -> None:
-    seen_ids: set[str] = set()
-    seen_questions: set[tuple[str, str]] = set()
-    for item in items:
-        if item.qa_id in seen_ids:
-            raise StoreError(f"duplicate qa_id {item.qa_id}")
-        seen_ids.add(item.qa_id)
-        if item.chart_id not in chart_ids:
-            raise StoreError(
-                f"item {item.qa_id} references missing chart {item.chart_id}")
-        qkey = (item.chart_id, _normalize_question(item.question))
-        if qkey in seen_questions:
-            raise StoreError(
-                f"duplicate question on chart {item.chart_id}: "
-                f"{item.question!r}")
-        seen_questions.add(qkey)
-        if item.family not in FAMILIES:
-            raise StoreError(f"item {item.qa_id} has unknown family {item.family!r}")
+def _jsonl_line(row: dict) -> bytes:
+    return (json.dumps(row) + "\n").encode("utf-8")
+
+
+def _append_charts(root: Path, charts, held, families: dict,
+                   digests: dict) -> tuple[dict, int]:
+    """Write each chart's files, then check its items and append them to
+    the open family files; return the item count per family and the
+    number of train items."""
+    counts = {fam: 0 for fam in FAMILIES}
+    last = {fam: "" for fam in FAMILIES}  # the last qa_id in each file
+    chart_ids: set[str] = set()
+    qa_ids: set[str] = set()
+    train_size = 0
+    for spec, svg, geom, items in charts:
+        chart_id = spec.chart_id
+        if chart_id in chart_ids:
+            raise StoreError(f"duplicate chart_id in chart list: {chart_id}")
+        chart_ids.add(chart_id)
+        questions: set = set()
+        for item in items:
+            _check_item(item, (chart_id,), held, qa_ids, questions)
+        base = f"{CHART_DIR}/{chart_id}"
+        for rel, text in ((f"{base}.json", dumps_chart(spec)),
+                          (f"{base}.svg", svg),
+                          (f"{base}.geom.json", dumps_geom(geom))):
+            digests[rel] = _atomic_write(root / rel, text.encode("utf-8"))
+        for item in sorted(items, key=attrgetter("qa_id")):
+            fam = item.family
+            if item.qa_id <= last[fam]:
+                raise StoreError(f"{fam} rows out of qa_id order: "
+                                 f"{item.qa_id} after {last[fam]}")
+            last[fam] = item.qa_id
+            families[fam].write(_jsonl_line(item_to_dict(item)))
+            counts[fam] += 1
+            train_size += item.split == "train"
+    unknown = held - chart_ids
+    if unknown:
+        raise StoreError(f"held-out ids not in chart list: {sorted(unknown)}")
+    return counts, train_size
 
 
 def write_dataset(
     root: str | Path,
     dataset_id: str,
-    charts: list[tuple[ChartSpec, str, GeometryMap]],
-    items: list[QAItem],
+    charts,
     holdout_chart_ids,
     config_digest: str,
     tool_version: str,
@@ -239,69 +306,57 @@ def write_dataset(
 ) -> DatasetManifest:
     """Write a complete dataset directory and return its manifest.
 
-    charts carries (spec, svg_text, geometry) triples.  All validation
-    runs before the first byte lands: dangling chart references,
-    duplicate ids, duplicate questions, and split leakage all abort the
-    write.
+    charts yields one (spec, svg_text, geometry, items) tuple per chart,
+    in chart_id order, where items are that chart's QAItems; each chart
+    is written before the next is drawn, so one chart is held at a time.
+    A duplicate id or question, an item on another chart, an unknown
+    family, split leakage, a family file whose qa_ids would not strictly
+    increase, a repeated chart or a held-out id that names no chart
+    aborts the write.  The family files and then the manifest land last.
+    A failed write leaves no manifest and no temp file, and removes root
+    if this call created it.
     """
     root = Path(root)
-    chart_ids = {spec.chart_id for spec, _, _ in charts}
-    if len(chart_ids) != len(charts):
-        raise StoreError("duplicate chart_id in chart list")
-    unknown = set(holdout_chart_ids) - chart_ids
-    if unknown:
-        raise StoreError(f"held-out ids not in chart list: {sorted(unknown)}")
-    _validate_items(items, chart_ids)
-    check_leakage(items, holdout_chart_ids)
-
-    counts = {fam: 0 for fam in FAMILIES}
-    for item in items:
-        counts[item.family] += 1
-    train_size = sum(1 for i in items if i.split == "train")
-    test_size = len(items) - train_size
-
+    held = set(holdout_chart_ids)
+    created = not root.exists()
     root.mkdir(parents=True, exist_ok=True)
-    with _Lock(root):
-        digests: dict[str, str] = {}
-        (root / CHART_DIR).mkdir(exist_ok=True)
-        (root / QA_DIR).mkdir(exist_ok=True)
+    try:
+        with _Lock(root):
+            # until the new manifest lands the directory is not a dataset
+            (root / MANIFEST_NAME).unlink(missing_ok=True)
+            (root / CHART_DIR).mkdir(exist_ok=True)
+            (root / QA_DIR).mkdir(exist_ok=True)
+            digests: dict[str, str] = {}
+            with ExitStack() as stack:
+                families = {fam: stack.enter_context(
+                    AtomicFile(root / QA_DIR / f"{fam}.jsonl"))
+                    for fam in FAMILIES}
+                counts, train_size = _append_charts(root, charts, held,
+                                                    families, digests)
+            for fam, fh in families.items():
+                digests[f"{QA_DIR}/{fam}.jsonl"] = fh.sha256.hexdigest()
+            with AtomicFile(root / REVIEW_NAME) as fh:
+                for row in review_rows or ():
+                    fh.write(_jsonl_line(row))
+            digests[REVIEW_NAME] = fh.sha256.hexdigest()
 
-        for spec, svg, geom in sorted(charts, key=lambda t: t[0].chart_id):
-            base = f"{CHART_DIR}/{spec.chart_id}"
-            for rel, text in ((f"{base}.json", dumps_chart(spec)),
-                              (f"{base}.svg", svg),
-                              (f"{base}.geom.json", dumps_geom(geom))):
-                digests[rel] = _atomic_write(root / rel,
-                                             (text.encode("utf-8"),))
-
-        by_family: dict[str, list[QAItem]] = {fam: [] for fam in FAMILIES}
-        for item in items:
-            by_family[item.family].append(item)
-        for fam in FAMILIES:
-            rows = sorted(by_family[fam], key=lambda i: i.qa_id)
-            rel = f"{QA_DIR}/{fam}.jsonl"
-            digests[rel] = _atomic_write(
-                root / rel, _jsonl_chunks(map(item_to_dict, rows)))
-            if len(rows) != counts[fam]:
-                raise StoreError(
-                    f"count drift for {fam}: {len(rows)} != {counts[fam]}")
-
-        digests[REVIEW_NAME] = _atomic_write(
-            root / REVIEW_NAME, _jsonl_chunks(review_rows or ()))
-
-        manifest = DatasetManifest(
-            dataset_id=dataset_id,
-            counts=counts,
-            train_size=train_size,
-            test_size=test_size,
-            holdout_chart_ids=tuple(sorted(holdout_chart_ids)),
-            config_digest=config_digest,
-            template_hashes=dict(template_hashes or {}),
-            tool_version=tool_version,
-            file_digests=digests,
-        )
-        payload = json.dumps(manifest_to_dict(manifest), indent=2) + "\n"
-        _atomic_write(root / MANIFEST_NAME, (payload.encode("utf-8"),))
+            manifest = DatasetManifest(
+                dataset_id=dataset_id,
+                counts=counts,
+                train_size=train_size,
+                test_size=sum(counts.values()) - train_size,
+                holdout_chart_ids=tuple(sorted(held)),
+                config_digest=config_digest,
+                template_hashes=dict(template_hashes or {}),
+                tool_version=tool_version,
+                file_digests=digests,
+            )
+            payload = json.dumps(manifest_to_dict(manifest), indent=2) + "\n"
+            _atomic_write(root / MANIFEST_NAME, payload.encode("utf-8"))
+    except BaseException:
+        if created:
+            shutil.rmtree(root, ignore_errors=True)
+        raise
     return manifest
 
 
@@ -395,16 +450,96 @@ def _listed_rows(root: Path, rel: str, digests: dict | None, parse):
         _check_digest(rel, digests, digest.hexdigest())
 
 
-def _family_item(fam: str, path: Path):
-    """A row parser for one family file: the row as a QAItem, which must
-    belong to that family."""
-    def parse(text: str) -> QAItem:
-        item = item_from_dict(json.loads(text))
-        if item.family != fam:
+class DatasetReader:
+    """A dataset directory read back one file at a time.
+
+    Opening it reads the manifest and, with verify, rejects any file
+    under charts/ or qa/ that the manifest does not list.  Then, in this
+    order: charts() yields every chart spec and geometry map; items(fam)
+    yields one family file's items, each checked as it is parsed (ids,
+    questions, chart, family, split, qa_id order), and checks the file's
+    count once it is read; review_rows() yields the review queue.  A file
+    that fails its digest is reported as such even when one of its rows
+    failed a check first.  verify=False skips the digests and the
+    unlisted files, not the row checks.
+    """
+
+    def __init__(self, root: str | Path, verify: bool = True):
+        self.root = root = Path(root)
+        manifest_path = root / MANIFEST_NAME
+        if not manifest_path.is_file():
+            raise StoreError(f"no {MANIFEST_NAME} under {root}")
+        self.manifest = _parse(
+            lambda text: manifest_from_dict(json.loads(text)),
+            _decode(manifest_path.read_bytes(), manifest_path), manifest_path)
+        listed = self.manifest.file_digests
+        self.digests = listed if verify else None
+        self.held = set(self.manifest.holdout_chart_ids)
+        self.chart_ids: set[str] = set()
+        self.qa_ids: set[str] = set()
+        self.questions: set = set()
+        if verify:
+            for sub in (CHART_DIR, QA_DIR):
+                for dirpath, _, names in os.walk(root / sub):
+                    base = Path(dirpath).relative_to(root).as_posix()
+                    for name in sorted(names):
+                        if f"{base}/{name}" not in listed:
+                            raise StoreError(
+                                f"unlisted file {base}/{name}: the manifest "
+                                f"holds no digest for it")
+
+    def charts(self):
+        # a listed file that nothing parses (an SVG) is read only to
+        # check its digest
+        root, digests = self.root, self.digests
+        skip = {f"{QA_DIR}/{fam}.jsonl" for fam in FAMILIES} | {REVIEW_NAME}
+        for rel in sorted(self.manifest.file_digests):
+            if rel.startswith(f"{CHART_DIR}/") and rel.endswith(".json"):
+                path = root / rel
+                text = _decode(_read_listed(root, rel, digests), path)
+                if rel.endswith(".geom.json"):
+                    yield _parse(loads_geom, text, path)
+                else:
+                    spec = _parse(loads_chart, text, path)
+                    self.chart_ids.add(spec.chart_id)
+                    yield spec
+            elif digests is not None and rel not in skip:
+                _read_listed(root, rel, digests)
+
+    def items(self, fam: str):
+        rel = f"{QA_DIR}/{fam}.jsonl"
+        if rel not in self.manifest.file_digests:
+            return
+        path = self.root / rel
+        last = ""
+
+        def parse(text: str) -> QAItem:
+            nonlocal last
+            item = item_from_dict(json.loads(text))
+            if item.family != fam:
+                raise StoreError(
+                    f"{path.name} holds an item of family {item.family!r}")
+            if item.qa_id <= last:
+                raise StoreError(
+                    f"{path.name}: qa_id {item.qa_id} after {last}")
+            last = item.qa_id
+            _check_item(item, self.chart_ids, self.held, self.qa_ids,
+                        self.questions)
+            return item
+
+        count = 0
+        for item in _listed_rows(self.root, rel, self.digests, parse):
+            count += 1
+            yield item
+        expected = self.manifest.counts.get(fam, 0)
+        if count != expected:
             raise StoreError(
-                f"{path.name} holds an item of family {item.family!r}")
-        return item
-    return parse
+                f"{path.name}: {count} items, manifest says {expected}")
+
+    def review_rows(self):
+        if REVIEW_NAME in self.manifest.file_digests:
+            yield from _listed_rows(self.root, REVIEW_NAME, self.digests,
+                                    _json_object)
 
 
 @dataclass(frozen=True)
@@ -417,76 +552,19 @@ class Dataset:
 
 
 def load_dataset(root: str | Path, verify: bool = True) -> Dataset:
-    """Read a dataset directory back, verifying digests and split
-    hygiene.  Every file the manifest lists is read once: a chart file
-    whole, its digest checked before it is parsed; a JSONL file line by
-    line, hashed as it is parsed.  Verification also rejects
-    any file under charts/ or qa/ that the manifest does not list.
-    verify=False skips both checks (not the leakage check, which always
-    runs)."""
-    root = Path(root)
-    manifest_path = root / MANIFEST_NAME
-    if not manifest_path.is_file():
-        raise StoreError(f"no {MANIFEST_NAME} under {root}")
-    manifest = _parse(lambda text: manifest_from_dict(json.loads(text)),
-                      _decode(manifest_path.read_bytes(), manifest_path),
-                      manifest_path)
-    listed = manifest.file_digests
-    digests = listed if verify else None
-
-    if verify:
-        for sub in (CHART_DIR, QA_DIR):
-            for dirpath, _, names in os.walk(root / sub):
-                base = Path(dirpath).relative_to(root).as_posix()
-                for name in sorted(names):
-                    if f"{base}/{name}" not in listed:
-                        raise StoreError(
-                            f"unlisted file {base}/{name}: the manifest "
-                            f"holds no digest for it")
-
-    # chart specs and geometry are parsed; a listed file that nothing
-    # parses (an SVG) is read only to check its digest
+    """Read a whole dataset directory back through a DatasetReader, so
+    with the same checks.  Every file the manifest lists is read once."""
+    reader = DatasetReader(root, verify)
     charts: dict[str, ChartSpec] = {}
     geoms: dict[str, GeometryMap] = {}
-    qa_rels = {f"{QA_DIR}/{fam}.jsonl" for fam in FAMILIES}
-    for rel in sorted(listed):
-        if rel.startswith(f"{CHART_DIR}/") and rel.endswith(".json"):
-            path = root / rel
-            text = _decode(_read_listed(root, rel, digests), path)
-            if rel.endswith(".geom.json"):
-                geom = _parse(loads_geom, text, path)
-                geoms[geom.chart_id] = geom
-            else:
-                spec = _parse(loads_chart, text, path)
-                charts[spec.chart_id] = spec
-        elif verify and rel not in qa_rels and rel != REVIEW_NAME:
-            _read_listed(root, rel, digests)
-
-    items: list[QAItem] = []
-    for fam in FAMILIES:
-        rel = f"{QA_DIR}/{fam}.jsonl"
-        if rel not in listed:
-            continue
-        path = root / rel
-        before = len(items)
-        items.extend(_listed_rows(root, rel, digests, _family_item(fam, path)))
-        count, expected = len(items) - before, manifest.counts.get(fam, 0)
-        if count != expected:
-            raise StoreError(
-                f"{path.name}: {count} items, manifest says {expected}")
-
-    _validate_items(items, set(charts))
-    check_leakage(items, manifest.holdout_chart_ids)
-
-    review_rows: tuple = ()
-    if REVIEW_NAME in listed:
-        review_rows = tuple(_listed_rows(root, REVIEW_NAME, digests,
-                                         _json_object))
-
+    for chart in reader.charts():
+        (geoms if isinstance(chart, GeometryMap) else charts)[
+            chart.chart_id] = chart
+    items = tuple(chain.from_iterable(map(reader.items, FAMILIES)))
     return Dataset(
-        manifest=manifest,
+        manifest=reader.manifest,
         charts=charts,
         geoms=geoms,
-        items=tuple(items),
-        review_rows=review_rows,
+        items=items,
+        review_rows=tuple(reader.review_rows()),
     )

@@ -303,6 +303,7 @@ def test_recorded_cache_replays_llm_run_byte_identically(tmp_path):
         assert rc == 0
     finally:
         server.shutdown()
+        server.server_close()
 
     # a zero budget on a dead endpoint proves the replay never leaves the cache
     rc = main(["build-dataset", *common, "--budget", "0",

@@ -4,17 +4,21 @@ import hashlib
 import json
 import os
 import subprocess
+import shutil
 import sys
 import textwrap
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import perceptqa.cli as cli
+from perceptqa.charts import dumps_chart, loads_chart
 from perceptqa.cli import main
-from perceptqa.errors import InvariantError
+from perceptqa.errors import InvariantError, StoreError
 from perceptqa.reasoning import format_trace
+from perceptqa.render import dumps_geom, loads_geom
 from perceptqa.store import load_dataset
 
 
@@ -134,6 +138,81 @@ def test_gen_qa_rejects_a_malformed_chart_file(tmp_path, capsys, victim):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: malformed")
     assert err.count("\n") == 1
+
+
+def _stage_named_charts(out: Path, names) -> None:
+    """gen-charts, then give the charts the hand-picked ids, in file order."""
+    assert main(["gen-charts", "--seed", "3", "--charts", str(len(names)),
+                 "--out", str(out)]) == 0
+    chart_dir = out / "charts"
+    olds = sorted(p.name[:-len(".json")] for p in chart_dir.glob("*.json")
+                  if not p.name.endswith(".geom.json"))
+    for old, name in zip(olds, names):
+        spec = loads_chart((chart_dir / f"{old}.json").read_text("utf-8"))
+        geom = loads_geom((chart_dir / f"{old}.geom.json").read_text("utf-8"))
+        svg = (chart_dir / f"{old}.svg").read_text("utf-8")
+        for ext in (".json", ".svg", ".geom.json"):
+            (chart_dir / f"{old}{ext}").unlink()
+        (chart_dir / f"{name}.json").write_text(
+            dumps_chart(replace(spec, chart_id=name)), "utf-8")
+        (chart_dir / f"{name}.svg").write_text(svg, "utf-8")
+        (chart_dir / f"{name}.geom.json").write_text(
+            dumps_geom(replace(geom, chart_id=name)), "utf-8")
+
+
+def test_gen_qa_keeps_the_bytes_of_hand_named_charts(tmp_path):
+    # ids of mixed case, with "_" and with a "-" that extends no other id;
+    # the pin was taken before the build streamed chart by chart
+    out = tmp_path / "named"
+    _stage_named_charts(out, ["alpha", "Beta", "gamma_2", "delta-x", "eps9"])
+    assert main(["gen-qa", "--seed", "3", "--per-chart", "4",
+                 "--holdout", "0.2", "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest()
+    assert digest == (
+        "387bbce28fd533d010c8dab8eeb391354f5a32b0e2ce093f6f695e94d6ff7df9")
+
+
+def test_gen_qa_rejects_a_chart_id_that_extends_another(tmp_path, capsys):
+    """Rows are written chart by chart, and the rows of "a-b" sort before
+    those of "a": such an id set is refused before a byte is written."""
+    out = tmp_path / "named"
+    _stage_named_charts(out, ["a", "a-b", "c"])
+    before = _tree_bytes(out)
+    capsys.readouterr()
+    assert main(["gen-qa", "--seed", "3", "--per-chart", "4",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'a'" in err and "'a-b'" in err
+    assert _tree_bytes(out) == before
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_build_that_fails_mid_stream_leaves_no_dataset(tmp_path, monkeypatch,
+                                                       existing):
+    """A build that raises on its third chart leaves no manifest and no
+    temp file, whether it wrote into a new directory or over a dataset."""
+    out = tmp_path / "ds"
+    argv = ["build-dataset", "--seed", "3", "--charts", "5",
+            "--per-chart", "3", "--out", str(out)]
+    if existing:
+        assert main(argv) == 0
+    calls = []
+    generate_items = cli.generate_items
+
+    def fail_on_third_chart(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 3:
+            raise InvariantError("planted failure")
+        return generate_items(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "generate_items", fail_on_third_chart)
+    assert main(argv) == 3
+    assert len(calls) == 3
+    assert list(tmp_path.rglob("*.tmp")) == []
+    assert not (out / ".lock").exists()
+    with pytest.raises(StoreError, match=f"^no manifest.json under {out}$"):
+        load_dataset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +405,60 @@ def test_report_rerenders_evaluate_output(built, tmp_path, capsys):
     assert rerendered.read_bytes() == report.read_bytes()
 
 
+def test_evaluate_writes_nothing_when_a_family_file_fails(built, tmp_path,
+                                                         capsys):
+    out, ds = built
+    copy = tmp_path / "ds"
+    shutil.copytree(out, copy)
+    path = copy / "qa" / "extract.jsonl"
+    lines = path.read_text("utf-8").splitlines(keepends=True)
+    row = json.loads(lines[-1])
+    row["answer"] += "0"
+    path.write_text("".join(lines[:-1]) + json.dumps(row) + "\n", "utf-8")
+    preds = tmp_path / "preds.jsonl"
+    _write_jsonl(preds, [{"qa_id": i.qa_id, "prediction": i.answer}
+                         for i in ds.items])
+    outcomes, report = tmp_path / "outcomes.jsonl", tmp_path / "report.json"
+    capsys.readouterr()
+    assert main(["evaluate", "--dataset", str(copy), "--predictions",
+                 str(preds), "--out", str(outcomes),
+                 "--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: digest mismatch for qa/extract.jsonl")
+    assert err.count("\n") == 1
+    assert not outcomes.exists() and not report.exists()
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
+@pytest.mark.parametrize("mode", ["short", "dot"])
+def test_evaluate_and_report_bytes_are_pinned(built, tmp_path, mode):
+    """Outcome and report bytes of a mixed run: a third of the items
+    answered right, a third wrongly (a bare answer in dot mode), a third
+    not at all.  The pins were taken before evaluate streamed the family
+    files and aggregate took any iterable."""
+    out, ds = built
+    right = (lambda i: i.answer) if mode == "short" else (
+        lambda i: format_trace(i.trace))
+    wrong = (lambda i: "0") if mode == "short" else (lambda i: i.answer)
+    ordered = sorted(ds.items, key=lambda i: i.qa_id)
+    preds = tmp_path / "preds.jsonl"
+    _write_jsonl(preds, [
+        {"qa_id": i.qa_id, "prediction": (right, wrong)[k % 3](i)}
+        for k, i in enumerate(ordered) if k % 3 < 2])
+    outcomes, report = tmp_path / "outcomes.jsonl", tmp_path / "report.json"
+    assert main(["evaluate", "--dataset", str(out), "--predictions",
+                 str(preds), "--mode", mode, "--out", str(outcomes),
+                 "--report", str(report)]) == 0
+    rerendered = tmp_path / "rerendered.json"
+    assert main(["report", "--outcomes", str(outcomes),
+                 "--json", str(rerendered)]) == 0
+    assert rerendered.read_bytes() == report.read_bytes()
+    digests = [hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+               for p in (outcomes, report)]
+    assert digests == {"short": ["ca7c22c235729e7e", "f08967129f79dd25"],
+                       "dot": ["9746e07488a3b96c", "f04b3081f7e9b27a"]}[mode]
+
+
 def test_report_shows_placeholder_for_absent_families(tmp_path, capsys):
     outcomes = tmp_path / "outcomes.jsonl"
     _write_jsonl(outcomes, [
@@ -464,6 +597,63 @@ def test_synthetic_commands_leave_no_cyclic_garbage(tmp_path):
     assert all(0 < n < 1000 for n in found["2"]), found
 
 
+
+_PEAK_PROBE = textwrap.dedent("""
+    import json, sys, tracemalloc
+    from pathlib import Path
+    from perceptqa.cli import main
+    from perceptqa.store import load_dataset
+
+    def traced_peak(argv):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def build_and_evaluate(ds, charts):
+        build = ["build-dataset", "--seed", "2", "--charts", charts,
+                 "--per-chart", "2", "--out", str(ds)]
+        build_peak = traced_peak(build)
+        preds = ds.parent / (ds.name + ".preds.jsonl")
+        preds.write_text("".join(
+            json.dumps({"qa_id": i.qa_id, "prediction": i.answer}) + "\\n"
+            for i in load_dataset(ds).items), "utf-8")
+        return build_peak, traced_peak([
+            "evaluate", "--dataset", str(ds), "--predictions", str(preds),
+            "--out", str(ds.parent / (ds.name + ".outcomes.jsonl"))])
+
+    work = Path(sys.argv[1])
+    build_and_evaluate(work / "warm", "3")  # lazy imports and first-use caches
+    print(json.dumps(build_and_evaluate(work / "ds", sys.argv[2])))
+""")
+
+
+def test_build_and_evaluate_hold_one_chart_at_a_time(tmp_path):
+    """The traced peak of a build, and of an evaluation of what it built,
+    stays within a fixed margin as the dataset grows from 50 to 400
+    charts: what the commands keep per chart (its spec, its file digests,
+    its ids) is small next to a chart's SVG, geometry and items, which
+    are held one chart at a time.  Holding every chart and item grows
+    each peak by more than 5 MB over those 350 charts."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    peaks = {}
+    for charts in ("50", "400"):
+        work = tmp_path / charts
+        work.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_PROBE, str(work), charts],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        peaks[charts] = json.loads(proc.stdout.splitlines()[-1])
+    for command, small, large in zip(("build", "evaluate"), peaks["50"],
+                                     peaks["400"]):
+        assert large - small < 3_000_000, (command, peaks)
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -479,6 +669,7 @@ def test_usage_errors_exit_1():
 def test_validation_errors_return_1(tmp_path, capsys):
     out = str(tmp_path / "ds")
     assert main(["build-dataset", "--out", out]) == 1  # --charts missing
+    assert main(["gen-charts", "--out", out]) == 1
     assert main(["build-dataset", "--charts", "2", "--holdout", "1.0",
                  "--out", out]) == 1
     assert main(["build-dataset", "--charts", "2", "--mode", "llm",

@@ -317,6 +317,16 @@ def test_aggregate_two_of_three():
     assert report.violation_rate == Decimal("0.00")
 
 
+def test_aggregate_reads_any_iterable_once():
+    pairs = _eight_item_pairs()
+    assert aggregate(iter(pairs), ALL_FAMILIES) == aggregate(pairs,
+                                                             ALL_FAMILIES)
+    assert aggregate((p for p in pairs), ALL_FAMILIES).counts == {
+        "position": 2, "length": 1, "pattern": 2, "extract": 3}
+    with pytest.raises(ConfigError, match="empty"):
+        aggregate(iter(()), ALL_FAMILIES)
+
+
 def test_aggregate_rejects_empty_and_unknown_family():
     with pytest.raises(ConfigError):
         aggregate([], ALL_FAMILIES)

@@ -42,7 +42,16 @@ def corpus():
 
 
 def _write(root, charts, items, holdout, **kw):
-    return write_dataset(root, "ds-test", charts, items, holdout,
+    """write_dataset over charts in chart_id order, each with its items;
+    an item on no listed chart goes with the last chart."""
+    charts = sorted(charts, key=lambda chart: chart[0].chart_id)
+    by_chart = {spec.chart_id: [] for spec, _, _ in charts}
+    for item in items:
+        by_chart.get(item.chart_id, by_chart[charts[-1][0].chart_id]).append(
+            item)
+    stream = [(spec, svg, geom, by_chart.pop(spec.chart_id, []))
+              for spec, svg, geom in charts]
+    return write_dataset(root, "ds-test", stream, holdout,
                          config_digest="cfg0", tool_version="0.1.0", **kw)
 
 
