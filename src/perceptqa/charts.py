@@ -220,83 +220,37 @@ def require_valid(spec: ChartSpec) -> ChartSpec:
 
 
 # ---------------------------------------------------------------------------
-# sampler
+# sampler: the chart distribution, on which every pinned digest rests
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    kind_weights: tuple[tuple[str, float], ...] = (
-        ("vertical_bar", 0.20),
-        ("horizontal_bar", 0.12),
-        ("grouped_bar", 0.20),
-        ("stacked_bar", 0.12),
-        ("line", 0.28),
-        ("pie", 0.08),
-    )
-    series_range: tuple[int, int] = (1, 4)
-    category_range: tuple[int, int] = (3, 10)
-    unit_weights: tuple[tuple[str | None, float], ...] = (
-        (None, 0.35),
-        ("percent", 0.30),
-        ("count", 0.20),
-        ("minutes", 0.15),
-    )
-    temporal_prob: float = 0.45
-    shared_hue_prob: float = 0.30
-    pattern_fill_prob: float = 0.35
-
-    def validate(self) -> None:
-        for name, wlist in (("kind_weights", self.kind_weights),
-                            ("unit_weights", self.unit_weights)):
-            if not wlist or any(w < 0 for _, w in wlist) or not any(
-                w > 0 for _, w in wlist
-            ):
-                raise ConfigError(f"{name} must hold non-negative weights, some positive")
-        for kind, _ in self.kind_weights:
-            if kind not in KINDS:
-                raise ConfigError(f"unknown kind in kind_weights: {kind!r}")
-        for unit, _ in self.unit_weights:
-            if unit not in UNITS:
-                raise ConfigError(f"unknown unit in unit_weights: {unit!r}")
-        lo, hi = self.series_range
-        if not 1 <= lo <= hi <= 4:
-            raise ConfigError("series_range must satisfy 1 <= lo <= hi <= 4")
-        lo, hi = self.category_range
-        if not 2 <= lo <= hi <= 10:
-            raise ConfigError("category_range must satisfy 2 <= lo <= hi <= 10")
-        for name, p in (("temporal_prob", self.temporal_prob),
-                        ("shared_hue_prob", self.shared_hue_prob),
-                        ("pattern_fill_prob", self.pattern_fill_prob)):
-            if not 0 <= p <= 1:
-                raise ConfigError(f"{name} must be in [0, 1]")
+KIND_WEIGHTS: dict[str, float] = {
+    "vertical_bar": 0.20,
+    "horizontal_bar": 0.12,
+    "grouped_bar": 0.20,
+    "stacked_bar": 0.12,
+    "line": 0.28,
+    "pie": 0.08,
+}
+UNIT_WEIGHTS: dict[str | None, float] = {
+    None: 0.35,
+    "percent": 0.30,
+    "count": 0.20,
+    "minutes": 0.15,
+}
+TEMPORAL_PROB = 0.45
+SHARED_HUE_PROB = 0.30
+PATTERN_FILL_PROB = 0.35
 
 
-def sample_chart_spec(seed: int, config: SamplerConfig | None = None) -> ChartSpec:
-    """Draw one valid chart spec; the same seed and config give the same spec."""
-    config = config or SamplerConfig()
-    config.validate()
+def sample_chart_spec(seed: int) -> ChartSpec:
+    """Draw one valid chart spec; the same seed gives the same spec."""
     rng = random.Random(seed)
-
-    kinds = [k for k, _ in config.kind_weights]
-    weights = [w for _, w in config.kind_weights]
-    kind = rng.choices(kinds, weights=weights)[0]
-
-    k_lo, k_hi = KIND_SERIES[kind]
-    s_lo = max(k_lo, config.series_range[0])
-    s_hi = min(k_hi, config.series_range[1])
-    if s_lo > s_hi:
-        # config excludes this kind's series counts; fall back to kind minimum
-        s_lo = s_hi = k_lo
-    n_series = rng.randint(s_lo, s_hi)
-
-    c_lo = max(3 if kind == "line" else 2, config.category_range[0])
-    c_hi = max(c_lo, config.category_range[1])
-    if kind == "pie":
-        c_hi = min(c_hi, 8)
-    n_cat = rng.randint(c_lo, c_hi)
+    kind = rng.choices(list(KIND_WEIGHTS), weights=KIND_WEIGHTS.values())[0]
+    n_series = rng.randint(*KIND_SERIES[kind])
+    n_cat = rng.randint(3, 8 if kind == "pie" else 10)
 
     temporal = (
         kind in ("vertical_bar", "grouped_bar", "stacked_bar", "line")
-        and rng.random() < config.temporal_prob
+        and rng.random() < TEMPORAL_PROB
     )
     if temporal:
         start = rng.randrange(1985, 2018)
@@ -306,15 +260,13 @@ def sample_chart_spec(seed: int, config: SamplerConfig | None = None) -> ChartSp
         rng.shuffle(pool)
         categories = tuple(pool[:n_cat])
 
-    units = [u for u, _ in config.unit_weights]
-    uweights = [w for _, w in config.unit_weights]
-    unit = rng.choices(units, weights=uweights)[0]
+    unit = rng.choices(list(UNIT_WEIGHTS), weights=UNIT_WEIGHTS.values())[0]
     lo, hi, decimals = VALUE_GRIDS[unit]
     values = _sample_distinct_values(rng, n_series, n_cat, lo, hi, decimals)
 
-    colors = _sample_colors(rng, n_series, config.shared_hue_prob)
+    colors = _sample_colors(rng, n_series)
     patterns = ["solid"] * n_series
-    if kind in ("grouped_bar", "stacked_bar") and rng.random() < config.pattern_fill_prob:
+    if kind in ("grouped_bar", "stacked_bar") and rng.random() < PATTERN_FILL_PROB:
         patterns = [rng.choice(PATTERNS) for _ in range(n_series)]
     pool = list(rng.choice(SERIES_POOLS))
     rng.shuffle(pool)
@@ -379,8 +331,8 @@ def _sample_distinct_values(
     return tuple(rows)
 
 
-def _sample_colors(rng: random.Random, n_series: int, shared_hue_prob: float) -> list[str]:
-    if n_series >= 2 and rng.random() < shared_hue_prob:
+def _sample_colors(rng: random.Random, n_series: int) -> list[str]:
+    if n_series >= 2 and rng.random() < SHARED_HUE_PROB:
         # plant a dark/light pair from one hue family so questions can
         # say "the series drawn in shades of <family>"
         family = rng.choice(sorted({

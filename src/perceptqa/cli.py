@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .charts import dumps_chart, loads_chart, require_valid, sample_chart_spec
+from .charts import dumps_chart, loads_chart, sample_chart_spec
 from .errors import (
     ConfigError,
     InvariantError,
@@ -62,6 +62,7 @@ from .store import (
     DatasetReader,
     _atomic_write,
     _decode,
+    _jsonl_line,
     _parse,
     load_dataset,  # not called here: perfbench/tracer.py wraps cli.load_dataset
     split_holdout,
@@ -133,14 +134,16 @@ def _write_run_record(out: Path, command: str, config: dict,
         },
     }
     out.mkdir(parents=True, exist_ok=True)
-    (out / "run.json").write_text(
-        json.dumps(record, indent=2) + "\n", encoding="utf-8")
+    text = json.dumps(record, indent=2) + "\n"
+    _atomic_write(out / "run.json", text.encode("utf-8"))
+
+
+def _write_jsonl(path: Path, rows) -> None:
+    _atomic_write(path, b"".join(map(_jsonl_line, rows)))
 
 
 def _sample_spec(seed: int, index: int):
-    spec = sample_chart_spec(stable_seed(seed, "chart", index))
-    require_valid(spec)
-    return spec
+    return sample_chart_spec(stable_seed(seed, "chart", index))
 
 
 def _validate_gen_args(args) -> None:
@@ -188,21 +191,22 @@ def _with_split(charts, items_of, held):
 # gen commands
 
 def cmd_gen_charts(args) -> int:
-    _validate_gen_args(args)
     if args.charts is None:
         raise ConfigError("--charts is required")
+    if args.charts <= 0:
+        raise ConfigError("--charts must be positive")
     out = Path(args.out)
     chart_dir = out / CHART_DIR
     chart_dir.mkdir(parents=True, exist_ok=True)
     for i in range(args.charts):
         spec = _sample_spec(args.seed, i)
         svg, geom = render_chart(spec)
-        (chart_dir / f"{spec.chart_id}.json").write_text(
-            dumps_chart(spec), encoding="utf-8")
-        (chart_dir / f"{spec.chart_id}.svg").write_text(svg, encoding="utf-8")
-        (chart_dir / f"{spec.chart_id}.geom.json").write_text(
-            dumps_geom(geom), encoding="utf-8")
-    _write_run_record(out, "gen-charts", _config_dict(args), args.endpoint)
+        for ext, text in ((".json", dumps_chart(spec)), (".svg", svg),
+                          (".geom.json", dumps_geom(geom))):
+            _atomic_write(chart_dir / f"{spec.chart_id}{ext}",
+                          text.encode("utf-8"))
+    _write_run_record(out, "gen-charts",
+                      {"seed": args.seed, "charts": args.charts})
     print(f"wrote {args.charts} charts under {chart_dir}")
     return 0
 
@@ -448,10 +452,10 @@ def _build_llm_items(charts, args):
                     qa_id = f"{spec.chart_id}-{family}-llm-{seq:03d}"
                     req_a = make_request(
                         "infer_default", {"question": cand.question},
-                        model=model, image_svg=svg, temperature=0.0)
+                        model=model, image_svg=svg)
                     req_b = make_request(
                         "infer_default", {"question": cand.question},
-                        model=model_b, image_svg=svg, temperature=0.0)
+                        model=model_b, image_svg=svg)
                     chains.append(_start(
                         pool, gateway, req_a, _label_question, gateway, cand,
                         qa_id, spec, svg, req_a, req_b, model))
@@ -469,9 +473,7 @@ def _build_llm_items(charts, args):
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "provenance.jsonl", "w", encoding="utf-8") as fh:
-        for row in provenance:
-            fh.write(json.dumps(row) + "\n")
+    _write_jsonl(out / "provenance.jsonl", provenance)
     return items, review_rows
 
 
@@ -591,7 +593,7 @@ def cmd_report(args) -> int:
     report = aggregate(_outcomes_from_file(Path(args.outcomes)),
                        list(FAMILIES))
     if args.json:
-        Path(args.json).write_text(report_to_json(report), encoding="utf-8")
+        _atomic_write(Path(args.json), report_to_json(report).encode("utf-8"))
     print(format_report_table(report))
     return 0
 
@@ -614,12 +616,8 @@ def cmd_label(args) -> int:
         else:
             review_rows.append({
                 "qa_id": qa_id, "answer_a": answer_a, "answer_b": answer_b})
-    with open(args.accepted, "w", encoding="utf-8") as fh:
-        for row in accepted_rows:
-            fh.write(json.dumps(row) + "\n")
-    with open(args.review, "w", encoding="utf-8") as fh:
-        for row in review_rows:
-            fh.write(json.dumps(row) + "\n")
+    _write_jsonl(Path(args.accepted), accepted_rows)
+    _write_jsonl(Path(args.review), review_rows)
     print(f"accepted {len(accepted_rows)}, "
           f"queued {len(review_rows)} for review")
     return 0
@@ -628,13 +626,17 @@ def cmd_label(args) -> int:
 # ---------------------------------------------------------------------------
 # wiring
 
-def _add_gen_options(p, needs_charts: bool):
+def _add_chart_options(p, needs_charts: bool):
     p.add_argument("--seed", type=int, default=0)
     if needs_charts:
         p.add_argument("--charts", type=int, default=None,
                        help="number of charts to generate")
     else:
         p.set_defaults(charts=None)
+    p.add_argument("--out", required=True, help="output directory")
+
+
+def _add_qa_options(p):
     p.add_argument("--per-chart", dest="per_chart", type=int, default=12,
                    help="questions per chart")
     p.add_argument("--weights", type=_parse_weights, default=None,
@@ -653,7 +655,6 @@ def _add_gen_options(p, needs_charts: bool):
                    help="maximum network requests for this run")
     p.add_argument("--cache", default=None,
                    help="response cache directory (default: OUT/cache)")
-    p.add_argument("--out", required=True, help="output directory")
 
 
 def build_parser() -> _Parser:
@@ -664,17 +665,19 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-charts", help="generate seeded charts")
-    _add_gen_options(p, needs_charts=True)
+    _add_chart_options(p, needs_charts=True)
     p.set_defaults(func=cmd_gen_charts)
 
     p = sub.add_parser("gen-qa",
                        help="generate questions for charts already on disk")
-    _add_gen_options(p, needs_charts=False)
+    _add_chart_options(p, needs_charts=False)
+    _add_qa_options(p)
     p.set_defaults(func=cmd_build_dataset)
 
     p = sub.add_parser("build-dataset",
                        help="generate charts and questions in one run")
-    _add_gen_options(p, needs_charts=True)
+    _add_chart_options(p, needs_charts=True)
+    _add_qa_options(p)
     p.set_defaults(func=cmd_build_dataset)
 
     p = sub.add_parser("evaluate", help="score a predictions file")

@@ -26,7 +26,7 @@ class SpecValidationError(PerceptQAError):
 
 
 class RenderError(PerceptQAError):
-    """A chart spec cannot be laid out on the requested canvas."""
+    """A chart spec cannot be laid out on the canvas."""
 
 
 class QueryError(PerceptQAError):

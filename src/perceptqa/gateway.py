@@ -37,6 +37,7 @@ from .errors import (
 from .qagen import label_pattern
 from .reasoning import validate_trace_text
 from .render import GeometryMap
+from .store import _atomic_write
 
 TEMPLATE_IDS = (
     "pos_qgen", "len_qgen", "pat_qgen", "ext_qgen",
@@ -54,6 +55,11 @@ _USER_SPLIT = "=== user ==="
 _SLOT_RE = re.compile(r"\{([a-z_]+)\}")
 
 _TRANSIENT_STATUSES = frozenset({408, 429, 500, 502, 503, 504})
+# a transient status is retried up to _MAX_RETRIES times, the n-th retry
+# after _BACKOFF_S * 2 ** (n - 1) seconds; one POST waits _TIMEOUT_S
+_MAX_RETRIES = 3
+_BACKOFF_S = 0.25
+_TIMEOUT_S = 60.0
 
 
 @dataclass(frozen=True)
@@ -165,24 +171,21 @@ def make_request(
     bindings: dict,
     model: str,
     image_svg: str | None = None,
-    temperature: float | None = None,
 ) -> GatewayRequest:
     template = load_template(template_id)
     extra = set(bindings) - set(template.slots)
     if extra:
         raise TemplateError(
             f"template {template_id} has no slots {sorted(extra)}")
-    if temperature is None:
-        temperature = (DEFAULT_TEMPERATURE_GENERATION
-                       if template_id.endswith("_qgen")
-                       else DEFAULT_TEMPERATURE_INFERENCE)
     pairs = tuple(sorted((k, str(v)) for k, v in bindings.items()))
     return GatewayRequest(
         model=model,
         template_id=template_id,
         bindings=pairs,
         image_svg=image_svg,
-        temperature=temperature,
+        temperature=(DEFAULT_TEMPERATURE_GENERATION
+                     if template_id.endswith("_qgen")
+                     else DEFAULT_TEMPERATURE_INFERENCE),
     )
 
 
@@ -216,7 +219,6 @@ class GatewayResponse:
     text: str
     request_hash: str
     cached: bool
-    raw: dict
 
 
 class Gateway:
@@ -232,18 +234,12 @@ class Gateway:
         endpoint: str,
         cache_dir: str | Path,
         budget: int | None = None,
-        max_retries: int = 3,
-        backoff_base: float = 0.25,
-        timeout: float = 60.0,
         transport=None,
         sleep=time.sleep,
     ):
         self.endpoint = endpoint
         self.cache_dir = Path(cache_dir)
         self.budget = budget
-        self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self.timeout = timeout
         self._transport = transport or self._http_post
         self._sleep = sleep
         self._lock = threading.Lock()
@@ -255,7 +251,7 @@ class Gateway:
     def _http_post(self, endpoint: str, body: bytes, headers: dict):
         try:
             return requests.post(endpoint, data=body, headers=headers,
-                                 timeout=self.timeout)
+                                 timeout=_TIMEOUT_S)
         except requests.RequestException as exc:
             raise TransportError(f"endpoint unreachable: {exc}")
 
@@ -282,16 +278,11 @@ class Gateway:
     def _write_cache(self, request_hash: str, entry: dict) -> None:
         path = self._cache_path(request_hash)
         path.parent.mkdir(parents=True, exist_ok=True)
-        # one temp name per writer, so threads or processes sharing the
-        # cache never write into or rename away each other's temp file
-        tmp = path.with_name(
-            f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
-        try:
-            tmp.write_text(json.dumps(entry, indent=2) + "\n",
-                           encoding="utf-8")
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
+        # _atomic_write names its temp file per writer, so threads or
+        # processes sharing the cache never write into or rename away
+        # each other's temp file
+        text = json.dumps(entry, indent=2) + "\n"
+        _atomic_write(path, text.encode("utf-8"))
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -323,7 +314,6 @@ class Gateway:
                 text=entry["response_text"],
                 request_hash=request_hash,
                 cached=True,
-                raw=entry["response_body"],
             )
 
         with self._lock:
@@ -341,10 +331,10 @@ class Gateway:
             if status in (401, 403):
                 raise TransportError(f"endpoint rejected credentials ({status})")
             if status in _TRANSIENT_STATUSES:
-                if attempt >= self.max_retries:
+                if attempt >= _MAX_RETRIES:
                     raise TransportError(
                         f"gave up after {attempt + 1} attempts, last status {status}")
-                self._sleep(self.backoff_base * (2 ** attempt))
+                self._sleep(_BACKOFF_S * (2 ** attempt))
                 attempt += 1
                 continue
             if status != 200:
@@ -366,8 +356,7 @@ class Gateway:
             "response_text": text,
         })
         return GatewayResponse(
-            text=text, request_hash=request_hash, cached=False,
-            raw=response_body)
+            text=text, request_hash=request_hash, cached=False)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +445,6 @@ def question_request(
     svg: str,
     model: str,
     n_questions: int = 2,
-    temperature: float | None = None,
 ) -> GatewayRequest:
     """The question-generation request for one family on one chart."""
     template_id = _QGEN_TEMPLATE_BY_FAMILY.get(family)
@@ -467,7 +455,6 @@ def question_request(
         {"n_questions": n_questions},
         model=model,
         image_svg=svg,
-        temperature=temperature,
     )
 
 
@@ -479,12 +466,11 @@ def generate_questions_llm(
     family: str,
     model: str,
     n_questions: int = 2,
-    temperature: float | None = None,
 ) -> tuple[list[QuestionCandidate], list[tuple[str, str]]]:
     """Ask the model for questions in one family; keep the resolvable
     ones.  Returns (accepted, rejected-with-reason); zero accepted is an
     error because the caller cannot proceed with nothing."""
-    request = question_request(family, svg, model, n_questions, temperature)
+    request = question_request(family, svg, model, n_questions)
     response = gateway.chat(request)
     pairs = parse_question_lines(response.text)
     accepted: list[QuestionCandidate] = []
@@ -514,7 +500,6 @@ def generate_dot_answer_llm(
     answer: str,
     svg: str,
     model: str,
-    temperature: float = DEFAULT_TEMPERATURE_INFERENCE,
 ):
     """Ask the model to produce a reasoning trace for a known answer.
 
@@ -526,7 +511,6 @@ def generate_dot_answer_llm(
         {"question": question, "answer": answer},
         model=model,
         image_svg=svg,
-        temperature=temperature,
     )
     response = gateway.chat(request)
     trace, violations = validate_trace_text(response.text)

@@ -868,7 +868,6 @@ def stable_seed(*parts) -> int:
 
 @dataclass
 class GenStats:
-    emitted: dict
     shortfall: int
     skips: list[str]
 
@@ -933,7 +932,4 @@ def generate_items(
                 total -= want - len(got)
                 shortfall += want - len(got)
 
-    emitted = {f: 0 for f in FAMILY_NAMES}
-    for item in items:
-        emitted[item.family] += 1
-    return items, GenStats(emitted=emitted, shortfall=shortfall, skips=skips)
+    return items, GenStats(shortfall=shortfall, skips=skips)

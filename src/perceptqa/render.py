@@ -48,10 +48,7 @@ def text_width(text: str, size: float) -> float:
     return sum(_ADVANCES.get(ch, _DEFAULT_ADVANCE) for ch in text) * size
 
 
-@dataclass(frozen=True)
-class Canvas:
-    width: int = 640
-    height: int = 400
+WIDTH, HEIGHT = 640, 400
 
 
 @dataclass(frozen=True)
@@ -172,13 +169,10 @@ def positional_rank(geom: GeometryMap, axis: str, direction: str, rank: int) -> 
 # ---------------------------------------------------------------------------
 # rendering
 
-def render_chart(spec: ChartSpec, canvas: Canvas | None = None) -> tuple[str, GeometryMap]:
-    canvas = canvas or Canvas()
-    if canvas.width < 240 or canvas.height < 180:
-        raise RenderError("canvas smaller than 240x180")
+def render_chart(spec: ChartSpec) -> tuple[str, GeometryMap]:
     if spec.kind == "pie":
-        return _render_pie(spec, canvas)
-    return _render_axes_chart(spec, canvas)
+        return _render_pie(spec)
+    return _render_axes_chart(spec)
 
 
 def _r2(x: float) -> float:
@@ -286,7 +280,7 @@ def _legend_parts(
     return parts, boxes
 
 
-def _render_axes_chart(spec: ChartSpec, canvas: Canvas) -> tuple[str, GeometryMap]:
+def _render_axes_chart(spec: ChartSpec) -> tuple[str, GeometryMap]:
     table = spec.table
     n_series = len(table.series)
     n_cat = len(table.categories)
@@ -320,7 +314,7 @@ def _render_axes_chart(spec: ChartSpec, canvas: Canvas) -> tuple[str, GeometryMa
         bottom = pad + 14 + (16 if has_axis_names else 0)
 
     plot_x, plot_y = _r2(left), _r2(top)
-    plot_w, plot_h = _r2(canvas.width - right - left), _r2(canvas.height - bottom - top)
+    plot_w, plot_h = _r2(WIDTH - right - left), _r2(HEIGHT - bottom - top)
     if plot_w < 60 or plot_h < 50:
         raise RenderError("plot area too small after margins")
 
@@ -333,7 +327,7 @@ def _render_axes_chart(spec: ChartSpec, canvas: Canvas) -> tuple[str, GeometryMa
 
     parts: list[str] = []
     parts.append(
-        f'<rect x="0" y="0" width="{canvas.width}" height="{canvas.height}" '
+        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" '
         f'fill="#ffffff"/>'
     )
     defs = _pattern_defs(spec)
@@ -341,7 +335,7 @@ def _render_axes_chart(spec: ChartSpec, canvas: Canvas) -> tuple[str, GeometryMa
         parts.append("<defs>" + "".join(defs) + "</defs>")
     if spec.title:
         parts.append(
-            f'<text x="{_fmt(canvas.width / 2)}" y="{_fmt(pad + 10)}" '
+            f'<text x="{_fmt(WIDTH / 2)}" y="{_fmt(pad + 10)}" '
             f'font-family="{FONT_FAMILY}" font-size="{TITLE_SIZE}" '
             f'font-weight="bold" text-anchor="middle" fill="#111111">'
             f"{_esc(spec.title)}</text>"
@@ -480,7 +474,7 @@ def _render_axes_chart(spec: ChartSpec, canvas: Canvas) -> tuple[str, GeometryMa
         side_name = cat_name if horizontal else val_name
         parts.append(
             f'<text x="{_fmt(plot_x + plot_w / 2)}" '
-            f'y="{_fmt(canvas.height - 6)}" font-family="{FONT_FAMILY}" '
+            f'y="{_fmt(HEIGHT - 6)}" font-family="{FONT_FAMILY}" '
             f'font-size="{AXIS_NAME_SIZE}" text-anchor="middle" '
             f'fill="#222222">{_esc(bottom_name)}</text>'
         )
@@ -494,11 +488,11 @@ def _render_axes_chart(spec: ChartSpec, canvas: Canvas) -> tuple[str, GeometryMa
 
     legend_boxes: list[LegendBox] = []
     if spec.legend_visible:
-        lx = canvas.width - pad - legend_w + 8
+        lx = WIDTH - pad - legend_w + 8
         lparts, legend_boxes = _legend_parts(spec, lx, plot_y)
         parts.extend(lparts)
 
-    svg = _wrap_svg(parts, canvas)
+    svg = _wrap_svg(parts)
     geom = GeometryMap(
         chart_id=spec.chart_id,
         kind=spec.kind,
@@ -522,7 +516,7 @@ def _bar_rect(spec: ChartSpec, series_index: int, x: float, y: float,
     )
 
 
-def _render_pie(spec: ChartSpec, canvas: Canvas) -> tuple[str, GeometryMap]:
+def _render_pie(spec: ChartSpec) -> tuple[str, GeometryMap]:
     table = spec.table
     values = [float(v) for v in table.values[0]]
     total = sum(values)
@@ -535,20 +529,20 @@ def _render_pie(spec: ChartSpec, canvas: Canvas) -> tuple[str, GeometryMap]:
     right = pad + (legend_w + 6 if legend_w else 4)
     label_room = 70.0
     plot_x, plot_y = _r2(pad + label_room), _r2(top)
-    plot_w = _r2(canvas.width - right - label_room - (pad + label_room))
-    plot_h = _r2(canvas.height - pad - top - 20)
+    plot_w = _r2(WIDTH - right - label_room - (pad + label_room))
+    plot_h = _r2(HEIGHT - pad - top - 20)
     if min(plot_w, plot_h) < 80:
-        raise RenderError("canvas too small for a pie chart")
+        raise RenderError("pie plot area too small after margins")
     cx, cy = _r2(plot_x + plot_w / 2), _r2(plot_y + plot_h / 2)
     radius = _r2(min(plot_w, plot_h) / 2 - 6)
 
     parts: list[str] = [
-        f'<rect x="0" y="0" width="{canvas.width}" height="{canvas.height}" '
+        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" '
         f'fill="#ffffff"/>'
     ]
     if spec.title:
         parts.append(
-            f'<text x="{_fmt(canvas.width / 2)}" y="{_fmt(pad + 10)}" '
+            f'<text x="{_fmt(WIDTH / 2)}" y="{_fmt(pad + 10)}" '
             f'font-family="{FONT_FAMILY}" font-size="{TITLE_SIZE}" '
             f'font-weight="bold" text-anchor="middle" fill="#111111">'
             f"{_esc(spec.title)}</text>"
@@ -603,11 +597,11 @@ def _render_pie(spec: ChartSpec, canvas: Canvas) -> tuple[str, GeometryMap]:
 
     legend_boxes: list[LegendBox] = []
     if spec.legend_visible:
-        lx = canvas.width - pad - legend_w + 8
+        lx = WIDTH - pad - legend_w + 8
         lparts, legend_boxes = _legend_parts(spec, lx, plot_y)
         parts.extend(lparts)
 
-    svg = _wrap_svg(parts, canvas)
+    svg = _wrap_svg(parts)
     geom = GeometryMap(
         chart_id=spec.chart_id,
         kind=spec.kind,
@@ -622,11 +616,11 @@ def _render_pie(spec: ChartSpec, canvas: Canvas) -> tuple[str, GeometryMap]:
     return svg, geom
 
 
-def _wrap_svg(parts: list[str], canvas: Canvas) -> str:
+def _wrap_svg(parts: list[str]) -> str:
     body = "\n  ".join(parts)
     return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{canvas.width}" '
-        f'height="{canvas.height}" viewBox="0 0 {canvas.width} {canvas.height}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+        f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">'
         f"\n  {body}\n</svg>\n"
     )
 

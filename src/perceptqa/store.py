@@ -91,27 +91,19 @@ def manifest_from_dict(d: dict) -> DatasetManifest:
 # holdout split
 
 def split_holdout(chart_ids: list[str], seed: int,
-                  fraction: float | None = None,
-                  count: int | None = None) -> tuple[tuple[str, ...], tuple[str, ...]]:
+                  fraction: float) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Partition chart ids into (train, test) held-out sets.
 
     The split is a pure function of the id set and the seed: order of the
-    input list does not matter.  Exactly one of fraction/count selects
-    the test size; the test set may not swallow every chart.
+    input list does not matter.  The test set holds round(fraction * n)
+    of the n distinct ids and may not swallow every chart.
     """
     ids = sorted(set(chart_ids))
     if not ids:
         raise StoreError("cannot split an empty chart list")
-    if (fraction is None) == (count is None):
-        raise StoreError("pass exactly one of fraction or count")
-    if fraction is not None:
-        if not 0 <= fraction < 1:
-            raise StoreError(f"holdout fraction {fraction} outside [0, 1)")
-        n_test = int(round(len(ids) * fraction))
-    else:
-        n_test = count
-    if n_test < 0:
-        raise StoreError(f"negative holdout count {n_test}")
+    if not 0 <= fraction < 1:
+        raise StoreError(f"holdout fraction {fraction} outside [0, 1)")
+    n_test = int(round(len(ids) * fraction))
     if n_test >= len(ids):
         raise StoreError(
             f"holdout of {n_test} charts would leave no training data "

@@ -9,7 +9,6 @@ from perceptqa.charts import (
     ChartSpec,
     DataTable,
     KIND_SERIES,
-    SamplerConfig,
     SeriesDescriptor,
     chart_to_dict,
     dumps_chart,
@@ -19,7 +18,7 @@ from perceptqa.charts import (
     sample_chart_spec,
     validate_chart_spec,
 )
-from perceptqa.errors import ConfigError, SpecValidationError
+from perceptqa.errors import SpecValidationError
 from perceptqa.palette import COLOR_NAMES, PATTERNS
 
 
@@ -200,17 +199,6 @@ def test_require_valid_raises_with_all_violations():
     with pytest.raises(SpecValidationError) as err:
         require_valid(bad)
     assert "chart_id" in str(err.value)
-
-
-def test_sampler_config_validation():
-    with pytest.raises(ConfigError):
-        SamplerConfig(kind_weights=(("vertical_bar", -1.0),)).validate()
-    with pytest.raises(ConfigError):
-        SamplerConfig(kind_weights=(("mystery", 1.0),)).validate()
-    with pytest.raises(ConfigError):
-        SamplerConfig(series_range=(0, 4)).validate()
-    with pytest.raises(ConfigError):
-        SamplerConfig(temporal_prob=1.5).validate()
 
 
 def test_palette_is_closed_and_unique():

@@ -107,6 +107,9 @@ def test_gen_charts_then_gen_qa_matches_build_dataset(tmp_path):
     direct = tmp_path / "direct"
     assert main(["gen-charts", "--seed", "7", "--charts", "6",
                  "--out", str(staged)]) == 0
+    record = json.loads((staged / "run.json").read_text("utf-8"))
+    assert record["config"] == {"seed": 7, "charts": 6}
+    assert list(staged.rglob("*.tmp")) == []
     assert main(["gen-qa", "--seed", "7", "--per-chart", "3",
                  "--out", str(staged)]) == 0
     assert main(["build-dataset", "--seed", "7", "--charts", "6",
@@ -403,6 +406,7 @@ def test_report_rerenders_evaluate_output(built, tmp_path, capsys):
     assert rc == 0
     assert capsys.readouterr().out == evaluate_table
     assert rerendered.read_bytes() == report.read_bytes()
+    assert list(tmp_path.glob("*.tmp")) == []
 
 
 def test_evaluate_writes_nothing_when_a_family_file_fails(built, tmp_path,
@@ -499,6 +503,7 @@ def test_label_routes_agreements_and_disputes(tmp_path, capsys):
     assert review_rows == [{"qa_id": "q2", "answer_a": "99",
                             "answer_b": "95"}]
     assert "accepted 2, queued 1" in capsys.readouterr().out
+    assert list(tmp_path.glob("*.tmp")) == []
 
 
 # ---------------------------------------------------------------------------
@@ -664,6 +669,11 @@ def test_usage_errors_exit_1():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 1
+    # gen-charts takes only --seed, --charts and --out
+    for flags in (["--holdout", "0.2"], ["--mode", "llm"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-charts", "--charts", "2", *flags, "--out", "x"])
+        assert exc.value.code == 1
 
 
 def test_validation_errors_return_1(tmp_path, capsys):

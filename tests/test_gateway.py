@@ -123,8 +123,6 @@ def test_make_request_temperature_defaults():
     assert make_request("pos_qgen", {"n_questions": 2}, "m").temperature == 0.7
     assert make_request("dot_answer",
                         {"question": "q", "answer": "a"}, "m").temperature == 0.0
-    assert make_request("pos_qgen", {"n_questions": 2}, "m",
-                        temperature=0.3).temperature == 0.3
 
 
 def test_make_request_rejects_unknown_slot():
@@ -221,10 +219,11 @@ def test_chat_retries_transient_statuses(tmp_path):
 
 def test_chat_gives_up_after_max_retries(tmp_path):
     transport = ScriptedTransport((429, b""))
-    g, sleeps = _gateway(tmp_path, transport, max_retries=1)
-    with pytest.raises(TransportError, match="gave up after 2 attempts"):
+    g, sleeps = _gateway(tmp_path, transport)
+    with pytest.raises(TransportError, match="gave up after 4 attempts"):
         g.chat(_req())
-    assert sleeps == [0.25]
+    assert sleeps == [0.25, 0.5, 1.0]
+    assert len(transport.calls) == 4
 
 
 def test_chat_auth_failure_never_retries(tmp_path):

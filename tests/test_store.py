@@ -34,7 +34,7 @@ def corpus():
     pairs = [(spec, geom) for spec, _, geom in charts]
     items, _ = generate_items(pairs, GenConfig(per_chart=4, seed=7))
     chart_ids = [spec.chart_id for spec, _, _ in charts]
-    _, test_ids = split_holdout(chart_ids, seed=5, count=2)
+    _, test_ids = split_holdout(chart_ids, seed=5, fraction=1 / 3)
     held = set(test_ids)
     items = [replace(i, split="test" if i.chart_id in held else "train")
              for i in items]
@@ -60,8 +60,8 @@ def _write(root, charts, items, holdout, **kw):
 
 def test_split_is_deterministic_and_order_free():
     ids = ["c3", "c1", "c2", "c4", "c0"]
-    first = split_holdout(ids, seed=9, count=2)
-    again = split_holdout(list(reversed(ids)), seed=9, count=2)
+    first = split_holdout(ids, seed=9, fraction=0.4)
+    again = split_holdout(list(reversed(ids)), seed=9, fraction=0.4)
     assert first == again
     train, test = first
     assert sorted(train) == list(train) and sorted(test) == list(test)
@@ -76,36 +76,32 @@ def test_split_fraction_rounds_to_count():
 
 
 def test_split_count_zero_keeps_everything_in_train():
-    train, test = split_holdout(["a", "b"], seed=0, count=0)
+    train, test = split_holdout(["a", "b"], seed=0, fraction=0)
     assert test == ()
     assert train == ("a", "b")
 
 
 def test_split_varies_with_seed():
     ids = [f"c{i}" for i in range(30)]
-    picks = {split_holdout(ids, seed=s, count=10)[1] for s in range(6)}
+    picks = {split_holdout(ids, seed=s, fraction=1 / 3)[1] for s in range(6)}
     assert len(picks) > 1
 
 
 def test_split_dedupes_ids():
-    train, test = split_holdout(["a", "b", "a", "c"], seed=0, count=1)
+    train, test = split_holdout(["a", "b", "a", "c"], seed=0, fraction=1 / 3)
     assert len(train) + len(test) == 3
 
 
 def test_split_argument_validation():
     ids = ["a", "b", "c"]
     with pytest.raises(StoreError):
-        split_holdout(ids, seed=0)
-    with pytest.raises(StoreError):
-        split_holdout(ids, seed=0, fraction=0.5, count=1)
-    with pytest.raises(StoreError):
         split_holdout(ids, seed=0, fraction=1.0)
     with pytest.raises(StoreError):
-        split_holdout(ids, seed=0, count=-1)
+        split_holdout(ids, seed=0, fraction=-0.1)
     with pytest.raises(StoreError, match="no training data"):
-        split_holdout(ids, seed=0, count=3)
+        split_holdout(ids, seed=0, fraction=0.9)
     with pytest.raises(StoreError):
-        split_holdout([], seed=0, count=0)
+        split_holdout([], seed=0, fraction=0)
 
 
 # ---------------------------------------------------------------------------

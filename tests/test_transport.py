@@ -10,6 +10,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+import perceptqa.gateway as gw
 from perceptqa.cli import main
 from perceptqa.errors import TransportError
 from perceptqa.gateway import Gateway, build_chat_body, make_request
@@ -63,10 +64,9 @@ def server():
         thread.join(timeout=10)
 
 
-def _gateway(tmp_path, endpoint, **kw):
+def _gateway(tmp_path, endpoint):
     sleeps = []
-    gateway = Gateway(endpoint, tmp_path / "cache", sleep=sleeps.append,
-                      **kw)
+    gateway = Gateway(endpoint, tmp_path / "cache", sleep=sleeps.append)
     return gateway, sleeps
 
 
@@ -126,9 +126,11 @@ def test_closed_port_is_a_transport_error(tmp_path):
         gateway.chat(_req())
 
 
-def test_reply_after_the_timeout_is_a_transport_error(server, tmp_path):
+def test_reply_after_the_timeout_is_a_transport_error(server, tmp_path,
+                                                      monkeypatch):
     server.script = [(200, 1.0)]
-    gateway, sleeps = _gateway(tmp_path, server.url, timeout=0.2)
+    monkeypatch.setattr(gw, "_TIMEOUT_S", 0.2)
+    gateway, sleeps = _gateway(tmp_path, server.url)
     started = time.perf_counter()
     with pytest.raises(TransportError, match="endpoint unreachable"):
         gateway.chat(_req())
