@@ -313,9 +313,9 @@ def _sample_distinct_values(
 ) -> tuple[tuple[Decimal, ...], ...]:
     # pairwise-distinct across the whole table so rank picks never tie
     step = Decimal(1).scaleb(-decimals)
+    # every grid holds at least 1,001 points and a table at most 40
+    # cells, so the redraw loop below always ends quickly
     n_points = int((hi - lo) / step) + 1
-    if n_points < n_series * n_cat * 4:
-        raise ConfigError("value grid too small for distinct sampling")
     used: set[Decimal] = set()
     rows = []
     for _ in range(n_series):

@@ -333,8 +333,10 @@ def _infer_answer_type(text: str) -> str:
     return "text"
 
 
-# model requests in flight at once in an LLM-mode build
-_MAX_IN_FLIGHT = 8
+# model requests in flight at once in an LLM-mode build; the gateway
+# spaces their starts (gateway._POST_GAP_S), so more in flight does not
+# mean larger bursts at the endpoint
+_MAX_IN_FLIGHT = 16
 
 
 def _start(pool, gateway, request, fn, *args, **kwargs) -> Future:

@@ -60,6 +60,11 @@ _TRANSIENT_STATUSES = frozenset({408, 429, 500, 502, 503, 504})
 _MAX_RETRIES = 3
 _BACKOFF_S = 0.25
 _TIMEOUT_S = 60.0
+# each POST starts at least this long after the one before it, so that
+# requests sent together never reach the server's accept queue as one
+# burst; a burst overflows a short queue, and its connects are reset or
+# wait out the kernel's 1 s SYN retransmission
+_POST_GAP_S = 0.001
 
 
 @dataclass(frozen=True)
@@ -243,12 +248,20 @@ class Gateway:
         self._transport = transport or self._http_post
         self._sleep = sleep
         self._lock = threading.Lock()
+        self._pace_lock = threading.Lock()
+        self._next_post = 0.0
         self.network_calls = 0
         self.template_hashes = verify_templates()
 
     # -- plumbing -------------------------------------------------------------
 
     def _http_post(self, endpoint: str, body: bytes, headers: dict):
+        requests.load()  # before pacing, or the import undoes the spacing
+        with self._pace_lock:
+            wait = self._next_post - time.monotonic()
+            if wait > 0:
+                time.sleep(wait)
+            self._next_post = time.monotonic() + _POST_GAP_S
         try:
             return requests.post(endpoint, data=body, headers=headers,
                                  timeout=_TIMEOUT_S)
@@ -323,7 +336,8 @@ class Gateway:
                     f"{request_hash[:12]}... not sent")
             self.network_calls += 1
 
-        body_bytes = json.dumps(build_chat_body(request)).encode("utf-8")
+        request_body = build_chat_body(request)
+        body_bytes = json.dumps(request_body).encode("utf-8")
         attempt = 0
         while True:
             status, payload = self._transport(
@@ -351,7 +365,7 @@ class Gateway:
             "request_hash": request_hash,
             "endpoint": self.endpoint,
             "template_hash": self.template_hashes[request.template_id],
-            "request_body": json.loads(body_bytes.decode("utf-8")),
+            "request_body": request_body,
             "response_body": response_body,
             "response_text": text,
         })

@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import os
 import subprocess
 import shutil
 import sys
@@ -20,6 +19,8 @@ from perceptqa.errors import InvariantError, StoreError
 from perceptqa.reasoning import format_trace
 from perceptqa.render import dumps_geom, loads_geom
 from perceptqa.store import load_dataset
+
+from support import src_env
 
 
 def _tree_bytes(root: Path) -> dict:
@@ -53,14 +54,34 @@ def test_build_dataset_runs_are_byte_identical(tmp_path):
     assert _tree_bytes(a) == _tree_bytes(b)
 
 
+# moving these bytes on purpose means updating the pin and saying why
+GOLDEN_ARGS = ["build-dataset", "--seed", "11", "--charts", "8",
+               "--per-chart", "6"]
+GOLDEN_MANIFEST_SHA256 = (
+    "6e050b9ced41640f3088641802b3c98413d932fda9bcfcff17a626f6b63b90b4")
+
+
 def test_build_dataset_matches_golden_digest(tmp_path):
-    # moving these bytes on purpose means updating the pin and saying why
     out = tmp_path / "golden"
-    assert main(["build-dataset", "--seed", "11", "--charts", "8",
-                 "--per-chart", "6", "--out", str(out)]) == 0
+    assert main([*GOLDEN_ARGS, "--out", str(out)]) == 0
     digest = hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest()
-    assert digest == (
-        "6e050b9ced41640f3088641802b3c98413d932fda9bcfcff17a626f6b63b90b4")
+    assert digest == GOLDEN_MANIFEST_SHA256
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "2718"])
+def test_golden_build_does_not_depend_on_the_hash_seed(tmp_path, hash_seed):
+    """str and bytes hashes are salted per interpreter by PYTHONHASHSEED,
+    so set or dict iteration order must never reach the output."""
+    out = tmp_path / "golden"
+    script = ("import sys; from perceptqa.cli import main; "
+              "sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *GOLDEN_ARGS, "--out", str(out)],
+        env=src_env(PYTHONHASHSEED=hash_seed), capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest()
+    assert digest == GOLDEN_MANIFEST_SHA256
 
 
 def test_dense_build_matches_golden_digest(tmp_path):
@@ -528,10 +549,7 @@ def test_synthetic_commands_load_no_http_stack_or_thread_pool(tmp_path):
         print(sorted(m for m in ("requests", "urllib.request", "http.client",
                                  "concurrent.futures") if m in sys.modules))
     """)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
+    env = src_env()
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
                           env=env, capture_output=True, text=True,
                           timeout=120)
@@ -585,10 +603,7 @@ def test_synthetic_commands_leave_no_cyclic_garbage(tmp_path):
     cyclic garbage each command leaves (its argument parser) must not
     grow with the dataset.  main() hands the collector back as it found
     it."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
+    env = src_env()
     found = {}
     for charts in ("2", "12"):
         work = tmp_path / charts
@@ -642,10 +657,7 @@ def test_build_and_evaluate_hold_one_chart_at_a_time(tmp_path):
     its ids) is small next to a chart's SVG, geometry and items, which
     are held one chart at a time.  Holding every chart and item grows
     each peak by more than 5 MB over those 350 charts."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
+    env = src_env()
     peaks = {}
     for charts in ("50", "400"):
         work = tmp_path / charts

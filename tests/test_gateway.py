@@ -5,7 +5,9 @@ import base64
 import json
 import sys
 import threading
+import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -190,6 +192,8 @@ def test_chat_caches_and_replays(tmp_path):
     second = g.chat(req)
     assert (second.text, second.cached) == ("hello", True)
     assert len(transport.calls) == 1
+    entry = json.loads(path.read_text("utf-8"))
+    assert entry["request_body"] == json.loads(transport.calls[0][1])
 
 
 def test_cache_replays_across_endpoints(tmp_path):
@@ -298,6 +302,85 @@ def test_writers_of_one_cache_entry_never_collide(tmp_path):
     entry = g._read_cache(req.request_hash)
     assert entry in entries
     assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def test_posts_start_at_least_the_gap_apart(tmp_path, monkeypatch):
+    """Sixteen threads send at once; the first POST gets a 503, so its
+    retry is paced as well.  On a clock that moves only when the gateway
+    sleeps, every POST after the first waits one whole gap, and the 17
+    starts span exactly 16 gaps."""
+    clock = [100.0]
+    paced = []
+
+    def pace(seconds):
+        paced.append(seconds)
+        clock[0] += seconds
+
+    sent = []
+
+    def post(url, data, headers, timeout):
+        sent.append(data)
+        return (503, b"") if len(sent) == 1 else _ok("x")
+
+    monkeypatch.setattr(gw, "time", SimpleNamespace(
+        monotonic=lambda: clock[0], sleep=pace))
+    monkeypatch.setattr(gw.requests, "post", post)
+    backoffs = []
+    g = Gateway("http://unit.test/v1/chat", tmp_path / "cache",
+                sleep=backoffs.append)
+    barrier = threading.Barrier(16)
+    errors = []
+
+    def ask(n):
+        try:
+            barrier.wait(timeout=10)
+            g.chat(_req(question=f"Question {n}?"))
+        except Exception as exc:  # read on the main thread below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=ask, args=(n,)) for n in range(16)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(sent) == 17
+    assert paced == pytest.approx([gw._POST_GAP_S] * 16)
+    assert clock[0] == pytest.approx(100.0 + 16 * gw._POST_GAP_S)
+    assert backoffs == [gw._BACKOFF_S]
+
+
+def test_fake_transport_is_not_paced(tmp_path, monkeypatch):
+    monkeypatch.setattr(gw, "_POST_GAP_S", 30.0)
+    transport = ScriptedTransport(_ok("x"))
+    g, _ = _gateway(tmp_path, transport)
+    began = time.monotonic()
+    for n in range(3):
+        g.chat(_req(question=f"Question {n}?"))
+    assert len(transport.calls) == 3
+    assert time.monotonic() - began < 5.0
+
+
+def test_http_stack_loads_before_pacing(tmp_path, monkeypatch):
+    """The first POSTs of a process would otherwise leave the pacing
+    lock one gap apart, wait together on the import and connect at
+    once."""
+    loaded = []
+
+    class Lock:
+        def __enter__(self):
+            loaded.append(gw.requests._opener is not None)
+
+        def __exit__(self, *exc):
+            return False
+
+    monkeypatch.setattr(gw.requests, "_opener", None)
+    monkeypatch.setattr(gw.requests, "post", lambda *args, **kw: _ok("x"))
+    g = Gateway("http://unit.test/v1/chat", tmp_path / "cache")
+    g._pace_lock = Lock()
+    g.chat(_req())
+    assert loaded == [True]
 
 
 @pytest.mark.parametrize("damage", ["not json", "foreign hash",

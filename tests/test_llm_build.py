@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import perceptqa.cli as cli
 from perceptqa.cli import main
 
 MODEL_A, MODEL_B = "stub-a", "stub-b"
@@ -68,6 +69,10 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
     def do_POST(self):
+        with self.server.lock:
+            self.server.open_posts += 1
+            self.server.peak_posts = max(self.server.peak_posts,
+                                         self.server.open_posts)
         raw = self.rfile.read(int(self.headers["Content-Length"]))
         time.sleep((_digest(raw) % 7) * 0.003)
         body = json.loads(raw)
@@ -106,6 +111,10 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(200, {"choices": [{"message": {"content": text}}]})
 
     def _send(self, status: int, payload: dict) -> None:
+        # closed before the reply leaves, so a client's next request
+        # never overlaps this one in the count
+        with self.server.lock:
+            self.server.open_posts -= 1
         data = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
@@ -120,6 +129,7 @@ def stub():
     server.daemon_threads = True
     server.lock = threading.Lock()
     server.posts = []
+    server.open_posts = server.peak_posts = 0
     server.reject = None
     thread = threading.Thread(target=server.serve_forever, args=(0.05,),
                               daemon=True)
@@ -192,6 +202,8 @@ def test_llm_record_is_pinned_and_replays(stub, tmp_path, capsys):
     assert notes == RECORD_NOTES
     assert any("violations" in row for row in review)
     assert any("violations" not in row for row in review)
+    # at least the one request sent; more would depend on timing
+    assert 1 <= stub.peak_posts <= cli._MAX_IN_FLIGHT
 
     # a replay from the warm cache sends nothing and writes the same tree
     sent = len(stub.posts)
