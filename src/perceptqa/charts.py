@@ -70,14 +70,6 @@ TITLE_METRICS: tuple[str, ...] = (
     "Traffic", "Sales", "Usage", "Exports", "Adoption",
 )
 
-# unit -> word used on the value axis and in question phrasing
-UNIT_WORDS: dict[str | None, str] = {
-    None: "value",
-    "percent": "share",
-    "minutes": "minutes",
-    "count": "count",
-}
-
 
 @dataclass(frozen=True)
 class SeriesDescriptor:
@@ -92,9 +84,6 @@ class DataTable:
     series: tuple[SeriesDescriptor, ...]
     values: tuple[tuple[Decimal, ...], ...]
     unit: str | None = None
-
-    def value(self, series_index: int, category_index: int) -> Decimal:
-        return self.values[series_index][category_index]
 
     def series_index(self, name: str) -> int:
         for i, s in enumerate(self.series):

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .charts import dumps_chart, loads_chart, sample_chart_spec
+from .charts import loads_chart, sample_chart_spec
 from .errors import (
     ConfigError,
     InvariantError,
@@ -55,7 +55,7 @@ from .qagen import (
 )
 from .queries import FAMILIES
 from .reasoning import load_lexicon
-from .render import dumps_geom, loads_geom, render_chart
+from .render import loads_geom, render_chart
 from .store import (
     CHART_DIR,
     AtomicFile,
@@ -66,6 +66,7 @@ from .store import (
     _parse,
     load_dataset,  # not called here: perfbench/tracer.py wraps cli.load_dataset
     split_holdout,
+    write_chart_files,
     write_dataset,
 )
 
@@ -201,10 +202,7 @@ def cmd_gen_charts(args) -> int:
     for i in range(args.charts):
         spec = _sample_spec(args.seed, i)
         svg, geom = render_chart(spec)
-        for ext, text in ((".json", dumps_chart(spec)), (".svg", svg),
-                          (".geom.json", dumps_geom(geom))):
-            _atomic_write(chart_dir / f"{spec.chart_id}{ext}",
-                          text.encode("utf-8"))
+        write_chart_files(out, spec, svg, geom)
     _write_run_record(out, "gen-charts",
                       {"seed": args.seed, "charts": args.charts})
     print(f"wrote {args.charts} charts under {chart_dir}")

@@ -19,8 +19,6 @@ from .numformat import canon_number
 from .qagen import QAItem
 from .reasoning import validate_trace_text
 
-METRICS = ("relaxed", "year_em", "anls", "em")
-
 ANLS_THRESHOLD = Decimal("0.5")
 RELAXED_TOLERANCE = Decimal("0.05")
 

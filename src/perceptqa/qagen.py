@@ -716,17 +716,12 @@ def _assemble(
     qa_id: str,
     rng: random.Random,
     taken: set[str],
-    skip_log: list[str],
 ) -> QAItem | None:
-    def skip(reason: str) -> None:
-        skip_log.append(f"{spec.chart_id} {cand.query.family}: {reason}")
-
     query = cand.query
     values: dict = {}  # every subtree's value, handed on to build_trace
     try:
         value = evaluate(query.root, spec, geom, values)
-    except QueryError as exc:
-        skip(f"unanswerable ({exc})")
+    except QueryError:
         return None
 
     if cand.form == "factcheck":
@@ -736,30 +731,25 @@ def _assemble(
             query = QuerySpec(flipped, query.family, query.answer_type)
             try:
                 value = evaluate(query.root, spec, geom, values)
-            except QueryError as exc:
-                skip(f"unanswerable after flip ({exc})")
+            except QueryError:
                 return None
-            if bool(value) is not want:
-                skip("statement cannot reach the target truth value")
+            if bool(value) is not want:  # neither relation gives the target truth
                 return None
 
     answer = render_answer(value)
     answer_type = query.answer_type
     inferred = infer_answer_type(value)
     if answer_type != inferred and cand.form == "plain":
-        skip(f"answer type drifted ({answer_type} vs {inferred})")
         return None
 
     options = None
     statement = None
     if cand.form == "mcq":
         if not isinstance(value, Decimal):
-            skip("mcq needs a numeric answer")
             return None
         flat = [v for rw in spec.table.values for v in rw]
         options = _mcq_options(value, flat, rng)
-        if options is None:
-            skip("could not build three distinct distractors")
+        if options is None:  # fewer than three distinct distractors
             return None
         answer_type = "mcq"
     elif cand.form == "factcheck":
@@ -770,15 +760,13 @@ def _assemble(
             question = f"Is the following statement true or false? {statement}"
         else:
             question = realize_question(query, spec, rng.randrange(2 ** 31), geom)
-    except QueryError as exc:
-        skip(f"phrasing failed ({exc})")
+    except QueryError:
         return None
 
     try:
         trace = build_trace(query, spec, geom, mcq_options=options,
                             values=values)
-    except QueryError as exc:
-        skip(f"trace failed ({exc})")
+    except QueryError:
         return None
 
     if cand.form == "mcq":
@@ -790,12 +778,10 @@ def _assemble(
     check_answer = answer if cand.form != "mcq" else canon_number(value)
     check_type = answer_type if cand.form != "mcq" else "number"
     if _leaks(check_answer, check_type, question):
-        skip(f"answer {check_answer!r} appears in the question")
         return None
 
     key = question.casefold()
     if key in taken:
-        skip("duplicate question text on this chart")
         return None
     taken.add(key)
 
@@ -822,7 +808,6 @@ def _generate(
     n: int,
     seed: int,
     taken: set[str],
-    skip_log: list[str],
 ) -> list[QAItem]:
     rng = random.Random(seed)
     # shuffle draws depend only on the length, so shuffling indices visits
@@ -834,7 +819,7 @@ def _generate(
         if len(items) == n:
             break
         qa_id = f"{spec.chart_id}-{family}-{len(items) + 1:03d}"
-        item = _assemble(spec, geom, space[index], qa_id, rng, taken, skip_log)
+        item = _assemble(spec, geom, space[index], qa_id, rng, taken)
         if item is not None:
             items.append(item)
     return items
@@ -869,7 +854,6 @@ def stable_seed(*parts) -> int:
 @dataclass
 class GenStats:
     shortfall: int
-    skips: list[str]
 
 
 def generate_items(
@@ -896,7 +880,6 @@ def generate_items(
         counts = {f: 0 for f in FAMILY_NAMES}
     total = sum(counts.values())
     items: list[QAItem] = []
-    skips: list[str] = []
     shortfall = 0
 
     for spec, geom in charts:
@@ -923,7 +906,7 @@ def generate_items(
                 continue
             got = _generate(
                 family, spec, geom, pools[family], want,
-                stable_seed(config.seed, spec.chart_id, family), taken, skips,
+                stable_seed(config.seed, spec.chart_id, family), taken,
             )
             items.extend(got)
             if len(got) < want:
@@ -932,4 +915,4 @@ def generate_items(
                 total -= want - len(got)
                 shortfall += want - len(got)
 
-    return items, GenStats(shortfall=shortfall, skips=skips)
+    return items, GenStats(shortfall=shortfall)

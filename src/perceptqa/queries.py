@@ -140,10 +140,6 @@ class Cell:
     label: str
 
 
-CellSet = tuple  # tuple[Cell, ...]
-EvalValue = "tuple[Cell, ...] | Decimal | bool | str"
-
-
 def resolve_cells(
     selector: Selector, spec: ChartSpec, geom: GeometryMap | None
 ) -> tuple[Cell, ...]:

@@ -45,16 +45,6 @@ SOLUTION_HEADER = "Solution Phase:"
 DIVIDER = "---"
 FINAL_PREFIX = "Final answer: "
 
-VIOLATION_CODES = (
-    "missing_question_phase",
-    "missing_solution_phase",
-    "count_mismatch",
-    "bad_numbering",
-    "logic_before_perception",
-    "forbidden_word",
-    "no_final_answer",
-)
-
 _FINAL_RE = re.compile(r"^final answer:\s*", re.IGNORECASE)
 
 
@@ -116,8 +106,7 @@ def _fold(text: str) -> str:
     return text.lower() if text.isascii() else text.translate(_FOLD)
 
 
-@lru_cache(maxsize=16)
-def _markers_re(markers: tuple[str, ...]) -> re.Pattern | None:
+def _markers_re(markers: list[str]) -> re.Pattern | None:
     """One pattern that matches folded text wherever any of the markers
     stands as whole words; None for an empty marker list, which matches
     nothing.  Markers must be ASCII, where folding is exact."""
@@ -130,24 +119,21 @@ def _markers_re(markers: tuple[str, ...]) -> re.Pattern | None:
     return re.compile(rf"\b(?:{alternation})\b")
 
 
-def _patterns(lexicon: dict) -> tuple:
+@lru_cache(maxsize=1)
+def _patterns() -> tuple:
     # logic first: it takes precedence
-    return tuple((kind, _markers_re(tuple(lexicon[kind])))
+    lexicon = load_lexicon()
+    return tuple((kind, _markers_re(lexicon[kind]))
                  for kind in ("logic", "perception"))
 
 
-@lru_cache(maxsize=1)
-def _default_patterns() -> tuple:
-    return _patterns(load_lexicon())
-
-
-def classify_subquestion(text: str, lexicon: dict | None = None) -> str:
+def classify_subquestion(text: str) -> str:
     """Tag a sub-question as perception (reads the chart) or logic
     (operates on values already read).  Markers match as whole words in
     any case; logic markers take precedence; unmatched text defaults to
     logic."""
     folded = _fold(text)
-    for kind, pattern in _patterns(lexicon) if lexicon else _default_patterns():
+    for kind, pattern in _patterns():
         if pattern is not None and pattern.search(folded):
             return kind
     return "logic"
@@ -207,7 +193,7 @@ _A_LINE = re.compile(r"^(\d+)\)\s+(.*)$")
 
 
 def validate_trace_text(
-    text: str, lexicon: dict | None = None
+    text: str,
 ) -> tuple[ReasoningTrace | None, list[TraceViolation]]:
     """Check model output against the trace format.
 
@@ -286,7 +272,7 @@ def validate_trace_text(
         violations.append(TraceViolation(
             "no_final_answer", "last solution line lacks the final-answer prefix"))
 
-    kinds = [classify_subquestion(q, lexicon) for q in questions]
+    kinds = [classify_subquestion(q) for q in questions]
     seen_logic = False
     for q, kind in zip(questions, kinds):
         if kind == "logic":
@@ -308,8 +294,8 @@ def validate_trace_text(
     return ReasoningTrace(subs=subs, final=final), []
 
 
-def parse_trace(text: str, lexicon: dict | None = None) -> ReasoningTrace:
-    trace, violations = validate_trace_text(text, lexicon)
+def parse_trace(text: str) -> ReasoningTrace:
+    trace, violations = validate_trace_text(text)
     if violations:
         raise TraceFormatError(violations[0].code, violations[0].detail)
     assert trace is not None

@@ -49,6 +49,7 @@ def text_width(text: str, size: float) -> float:
 
 
 WIDTH, HEIGHT = 640, 400
+_PAD = 10.0  # outer margin on every side
 
 
 @dataclass(frozen=True)
@@ -258,26 +259,76 @@ def _series_fill(spec: ChartSpec, i: int) -> str:
     return f"url(#pat{i})"
 
 
-def _legend_parts(
-    spec: ChartSpec, x: float, y: float
-) -> tuple[list[str], list[LegendBox]]:
-    parts, boxes = [], []
-    row_h = 18.0
-    width = _legend_width(spec) - 8
-    for i, s in enumerate(spec.table.series):
-        ey = y + i * row_h
-        fill = _series_fill(spec, i)
+def _frame(spec: ChartSpec) -> tuple[float, float, list[str]]:
+    """The top and right margins every kind shares, and the parts that
+    open every chart: the background, the pattern definitions and the
+    title."""
+    top = _PAD + (22 if spec.title else 6)
+    legend_w = _legend_width(spec)
+    right = _PAD + (legend_w + 6 if legend_w else 4)
+    parts = [
+        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" '
+        f'fill="#ffffff"/>'
+    ]
+    defs = _pattern_defs(spec)
+    if defs:
+        parts.append("<defs>" + "".join(defs) + "</defs>")
+    if spec.title:
         parts.append(
-            f'<rect x="{_fmt(x)}" y="{_fmt(ey + 3)}" width="12" height="12" '
-            f'fill="{fill}" stroke="#333333" stroke-width="0.5"/>'
+            f'<text x="{_fmt(WIDTH / 2)}" y="{_fmt(_PAD + 10)}" '
+            f'font-family="{FONT_FAMILY}" font-size="{TITLE_SIZE}" '
+            f'font-weight="bold" text-anchor="middle" fill="#111111">'
+            f"{_esc(spec.title)}</text>"
         )
-        parts.append(
-            f'<text x="{_fmt(x + 17)}" y="{_fmt(ey + 13)}" '
-            f'font-family="{FONT_FAMILY}" font-size="{LEGEND_SIZE}" '
-            f'fill="#222222">{_esc(s.name)}</text>'
-        )
-        boxes.append(LegendBox(i, _r2(x), _r2(ey), _r2(width), _r2(row_h)))
-    return parts, boxes
+    return top, right, parts
+
+
+def _finish(
+    spec: ChartSpec,
+    parts: list[str],
+    plot: tuple[float, float, float, float],
+    marks: list[Mark],
+    value_axis: AxisScale | None,
+    ticks: list[tuple[float, float]],
+) -> tuple[str, GeometryMap]:
+    """Close the chart with its legend, top-aligned with the plot, and
+    record the geometry."""
+    boxes: list[LegendBox] = []
+    if spec.legend_visible:
+        row_h = 18.0
+        legend_w = _legend_width(spec)
+        x = WIDTH - _PAD - legend_w + 8
+        for i, s in enumerate(spec.table.series):
+            ey = plot[1] + i * row_h
+            parts.append(
+                f'<rect x="{_fmt(x)}" y="{_fmt(ey + 3)}" width="12" '
+                f'height="12" fill="{_series_fill(spec, i)}" stroke="#333333" '
+                f'stroke-width="0.5"/>'
+            )
+            parts.append(
+                f'<text x="{_fmt(x + 17)}" y="{_fmt(ey + 13)}" '
+                f'font-family="{FONT_FAMILY}" font-size="{LEGEND_SIZE}" '
+                f'fill="#222222">{_esc(s.name)}</text>'
+            )
+            boxes.append(LegendBox(i, _r2(x), _r2(ey), _r2(legend_w - 8),
+                                   _r2(row_h)))
+    body = "\n  ".join(parts)
+    svg = (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+        f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">'
+        f"\n  {body}\n</svg>\n"
+    )
+    return svg, GeometryMap(
+        chart_id=spec.chart_id,
+        kind=spec.kind,
+        categories=spec.table.categories,
+        series_names=tuple(s.name for s in spec.table.series),
+        plot=plot,
+        marks=tuple(marks),
+        value_axis=value_axis,
+        ticks=tuple(ticks),
+        legend=tuple(boxes),
+    )
 
 
 def _render_axes_chart(spec: ChartSpec) -> tuple[str, GeometryMap]:
@@ -299,19 +350,16 @@ def _render_axes_chart(spec: ChartSpec) -> tuple[str, GeometryMap]:
     tick_labels = [canon_number(t) for t in ticks]
     tick_label_w = max(text_width(t, LABEL_SIZE) for t in tick_labels)
 
-    pad = 10.0
-    top = pad + (22 if spec.title else 6)
-    legend_w = _legend_width(spec)
-    right = pad + (legend_w + 6 if legend_w else 4)
+    top, right, parts = _frame(spec)
     has_axis_names = spec.axis_labels is not None
 
     if horizontal:
         cat_label_w = max(text_width(c, LABEL_SIZE) for c in table.categories)
-        left = pad + (16 if has_axis_names else 0) + cat_label_w + 8
-        bottom = pad + 14 + (16 if has_axis_names else 0)
+        left = _PAD + (16 if has_axis_names else 0) + cat_label_w + 8
+        bottom = _PAD + 14 + (16 if has_axis_names else 0)
     else:
-        left = pad + (16 if has_axis_names else 0) + tick_label_w + 10
-        bottom = pad + 14 + (16 if has_axis_names else 0)
+        left = _PAD + (16 if has_axis_names else 0) + tick_label_w + 10
+        bottom = _PAD + 14 + (16 if has_axis_names else 0)
 
     plot_x, plot_y = _r2(left), _r2(top)
     plot_w, plot_h = _r2(WIDTH - right - left), _r2(HEIGHT - bottom - top)
@@ -324,22 +372,6 @@ def _render_axes_chart(spec: ChartSpec) -> tuple[str, GeometryMap]:
     else:
         axis = AxisScale("vertical", _r2(plot_y + plot_h), _r2(plot_y),
                          float(amin), float(amax))
-
-    parts: list[str] = []
-    parts.append(
-        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" '
-        f'fill="#ffffff"/>'
-    )
-    defs = _pattern_defs(spec)
-    if defs:
-        parts.append("<defs>" + "".join(defs) + "</defs>")
-    if spec.title:
-        parts.append(
-            f'<text x="{_fmt(WIDTH / 2)}" y="{_fmt(pad + 10)}" '
-            f'font-family="{FONT_FAMILY}" font-size="{TITLE_SIZE}" '
-            f'font-weight="bold" text-anchor="middle" fill="#111111">'
-            f"{_esc(spec.title)}</text>"
-        )
 
     tick_geo: list[tuple[float, float]] = []
     for t, label in zip(ticks, tick_labels):
@@ -486,25 +518,8 @@ def _render_axes_chart(spec: ChartSpec) -> tuple[str, GeometryMap]:
             f"{_esc(side_name)}</text>"
         )
 
-    legend_boxes: list[LegendBox] = []
-    if spec.legend_visible:
-        lx = WIDTH - pad - legend_w + 8
-        lparts, legend_boxes = _legend_parts(spec, lx, plot_y)
-        parts.extend(lparts)
-
-    svg = _wrap_svg(parts)
-    geom = GeometryMap(
-        chart_id=spec.chart_id,
-        kind=spec.kind,
-        categories=table.categories,
-        series_names=tuple(s.name for s in table.series),
-        plot=(plot_x, plot_y, plot_w, plot_h),
-        marks=tuple(marks),
-        value_axis=axis,
-        ticks=tuple(tick_geo),
-        legend=tuple(legend_boxes),
-    )
-    return svg, geom
+    return _finish(spec, parts, (plot_x, plot_y, plot_w, plot_h), marks,
+                   axis, tick_geo)
 
 
 def _bar_rect(spec: ChartSpec, series_index: int, x: float, y: float,
@@ -523,30 +538,15 @@ def _render_pie(spec: ChartSpec) -> tuple[str, GeometryMap]:
     if total <= 0:
         raise RenderError("pie total must be positive")
 
-    pad = 10.0
-    top = pad + (22 if spec.title else 6)
-    legend_w = _legend_width(spec)
-    right = pad + (legend_w + 6 if legend_w else 4)
+    top, right, parts = _frame(spec)
     label_room = 70.0
-    plot_x, plot_y = _r2(pad + label_room), _r2(top)
-    plot_w = _r2(WIDTH - right - label_room - (pad + label_room))
-    plot_h = _r2(HEIGHT - pad - top - 20)
+    plot_x, plot_y = _r2(_PAD + label_room), _r2(top)
+    plot_w = _r2(WIDTH - right - label_room - (_PAD + label_room))
+    plot_h = _r2(HEIGHT - _PAD - top - 20)
     if min(plot_w, plot_h) < 80:
         raise RenderError("pie plot area too small after margins")
     cx, cy = _r2(plot_x + plot_w / 2), _r2(plot_y + plot_h / 2)
     radius = _r2(min(plot_w, plot_h) / 2 - 6)
-
-    parts: list[str] = [
-        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" '
-        f'fill="#ffffff"/>'
-    ]
-    if spec.title:
-        parts.append(
-            f'<text x="{_fmt(WIDTH / 2)}" y="{_fmt(pad + 10)}" '
-            f'font-family="{FONT_FAMILY}" font-size="{TITLE_SIZE}" '
-            f'font-weight="bold" text-anchor="middle" fill="#111111">'
-            f"{_esc(spec.title)}</text>"
-        )
 
     def point_at(clock_deg: float, r: float) -> tuple[float, float]:
         rad = math.radians(clock_deg)
@@ -595,34 +595,8 @@ def _render_pie(spec: ChartSpec) -> tuple[str, GeometryMap]:
             f"{_esc(table.categories[j])}</text>"
         )
 
-    legend_boxes: list[LegendBox] = []
-    if spec.legend_visible:
-        lx = WIDTH - pad - legend_w + 8
-        lparts, legend_boxes = _legend_parts(spec, lx, plot_y)
-        parts.extend(lparts)
-
-    svg = _wrap_svg(parts)
-    geom = GeometryMap(
-        chart_id=spec.chart_id,
-        kind=spec.kind,
-        categories=table.categories,
-        series_names=tuple(s.name for s in table.series),
-        plot=(plot_x, plot_y, plot_w, plot_h),
-        marks=tuple(marks),
-        value_axis=None,
-        ticks=(),
-        legend=tuple(legend_boxes),
-    )
-    return svg, geom
-
-
-def _wrap_svg(parts: list[str]) -> str:
-    body = "\n  ".join(parts)
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
-        f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">'
-        f"\n  {body}\n</svg>\n"
-    )
+    return _finish(spec, parts, (plot_x, plot_y, plot_w, plot_h), marks,
+                   None, [])
 
 
 # ---------------------------------------------------------------------------

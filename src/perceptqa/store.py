@@ -248,6 +248,19 @@ def _jsonl_line(row: dict) -> bytes:
     return (json.dumps(row) + "\n").encode("utf-8")
 
 
+def write_chart_files(root: Path, spec: ChartSpec, svg: str,
+                      geom: GeometryMap) -> dict[str, str]:
+    """Write a chart's spec, SVG and geometry under root's chart directory;
+    return the sha256 of each file by its path relative to root."""
+    base = f"{CHART_DIR}/{spec.chart_id}"
+    return {
+        rel: _atomic_write(root / rel, text.encode("utf-8"))
+        for rel, text in ((f"{base}.json", dumps_chart(spec)),
+                          (f"{base}.svg", svg),
+                          (f"{base}.geom.json", dumps_geom(geom)))
+    }
+
+
 def _append_charts(root: Path, charts, held, families: dict,
                    digests: dict) -> tuple[dict, int]:
     """Write each chart's files, then check its items and append them to
@@ -266,11 +279,7 @@ def _append_charts(root: Path, charts, held, families: dict,
         questions: set = set()
         for item in items:
             _check_item(item, (chart_id,), held, qa_ids, questions)
-        base = f"{CHART_DIR}/{chart_id}"
-        for rel, text in ((f"{base}.json", dumps_chart(spec)),
-                          (f"{base}.svg", svg),
-                          (f"{base}.geom.json", dumps_geom(geom))):
-            digests[rel] = _atomic_write(root / rel, text.encode("utf-8"))
+        digests.update(write_chart_files(root, spec, svg, geom))
         for item in sorted(items, key=attrgetter("qa_id")):
             fam = item.family
             if item.qa_id <= last[fam]:

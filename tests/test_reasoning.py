@@ -109,23 +109,9 @@ def test_markers_match_whole_words_in_any_case():
     assert classify_subquestion("Which bar RANK is first?") == "logic"
 
 
-def test_custom_lexicon_is_honoured():
-    lex = {"version": 0, "logic": ["tally"], "perception": ["glance"]}
-    assert classify_subquestion("Take a glance", lex) == "perception"
-    assert classify_subquestion("Tally the glance", lex) == "logic"
-    # the default markers mean nothing under another lexicon
-    assert classify_subquestion("What value does the bar show?", lex) == "logic"
-    assert classify_subquestion("Take a glance") == "logic"
-    # a class with no markers matches nothing
-    empty = {"version": 0, "logic": [], "perception": ["glance"]}
-    assert classify_subquestion("Tally the glance", empty) == "perception"
-    assert classify_subquestion("Tally", empty) == "logic"
-
-
 def test_non_ascii_marker_is_rejected():
-    lex = {"version": 0, "logic": ["tally", "gr\u00f6\u00dfe"], "perception": []}
     with pytest.raises(InvariantError, match="gr\u00f6\u00dfe"):
-        classify_subquestion("Tally", lex)
+        reasoning._markers_re(["tally", "gr\u00f6\u00dfe"])
 
 
 def test_fold_covers_every_code_point_ignorecase_matches_to_a_letter():
@@ -153,11 +139,10 @@ def _spelled(word: str):
 
 _DEFAULT = load_lexicon()
 _CUSTOM = {"version": 0, "logic": ["Tally"], "perception": ["Glance", "is k"]}
-# one class's markers as the only perception markers: the label then
-# says whether any of them matched, which the default label can hide
-_LEXICONS = (None, _CUSTOM) + tuple(
-    {"version": 0, "logic": [], "perception": _DEFAULT[kind]}
-    for kind in ("logic", "perception"))
+# each class's markers searched on their own: the match then says whether
+# any of them matched, which the classifier's label can hide
+_MARKER_LISTS = tuple(d[kind] for d in (_DEFAULT, _CUSTOM)
+                      for kind in ("logic", "perception"))
 _WORDS = st.sampled_from(sorted(set(
     _DEFAULT["logic"] + _DEFAULT["perception"]
     + _CUSTOM["logic"] + _CUSTOM["perception"])))
@@ -185,9 +170,12 @@ def _reference_classify(text: str, lexicon: dict) -> str:
 @settings(max_examples=300, deadline=None)
 @given(text=_TEXTS)
 def test_folded_search_equals_an_ignorecase_search(text):
-    for lexicon in _LEXICONS:
-        assert (classify_subquestion(text, lexicon)
-                == _reference_classify(text, lexicon or _DEFAULT)), lexicon
+    assert classify_subquestion(text) == _reference_classify(text, _DEFAULT)
+    folded = reasoning._fold(text)
+    for markers in _MARKER_LISTS:
+        alternation = "|".join(re.escape(m) for m in markers)
+        assert (reasoning._markers_re(markers).search(folded) is not None) == bool(
+            re.search(rf"\b(?:{alternation})\b", text, re.IGNORECASE)), markers
     assert reasoning._has_forbidden(text) == bool(
         re.search(r"\btable\b", text, re.IGNORECASE))
 

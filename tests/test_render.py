@@ -1,9 +1,18 @@
 import hashlib
+import re
 import xml.etree.ElementTree as ET
+from decimal import Decimal
 
 import pytest
 
-from perceptqa.charts import dumps_chart, sample_chart_spec
+from perceptqa.charts import (
+    ChartSpec,
+    DataTable,
+    SeriesDescriptor,
+    dumps_chart,
+    require_valid,
+    sample_chart_spec,
+)
 from perceptqa.errors import QueryError, RenderError
 from perceptqa.render import (
     decode_mark_value,
@@ -153,3 +162,24 @@ def test_legend_boxes_follow_visibility():
         elif spec.kind != "pie":
             assert geom.legend == ()
     assert seen_visible
+
+
+def test_striped_pie_legend_references_a_defined_pattern():
+    spec = require_valid(ChartSpec(
+        chart_id="striped-pie",
+        kind="pie",
+        title="Mix",
+        table=DataTable(
+            categories=("A", "B", "C"),
+            series=(SeriesDescriptor("Share", "dark red", "striped"),),
+            values=((Decimal(50), Decimal(30), Decimal(20)),),
+        ),
+        axis_labels=None,
+        legend_visible=True,
+        seed=0,
+    ))
+    svg, _ = render_chart(spec)
+    refs = set(re.findall(r"url\(#(pat\d+)\)", svg))
+    assert refs
+    for ref in refs:
+        assert f'id="{ref}"' in svg, ref
