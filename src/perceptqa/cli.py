@@ -14,6 +14,7 @@ import hashlib
 import heapq
 import json
 import sys
+from contextlib import ExitStack
 from dataclasses import replace
 from operator import attrgetter
 from pathlib import Path
@@ -65,6 +66,7 @@ from .store import (
     _jsonl_line,
     _parse,
     load_dataset,  # not called here: perfbench/tracer.py wraps cli.load_dataset
+    make_dir,
     split_holdout,
     write_chart_files,
     write_dataset,
@@ -134,7 +136,7 @@ def _write_run_record(out: Path, command: str, config: dict,
             "classifier_lexicon": load_lexicon()["version"],
         },
     }
-    out.mkdir(parents=True, exist_ok=True)
+    make_dir(out)
     text = json.dumps(record, indent=2) + "\n"
     _atomic_write(out / "run.json", text.encode("utf-8"))
 
@@ -198,7 +200,7 @@ def cmd_gen_charts(args) -> int:
         raise ConfigError("--charts must be positive")
     out = Path(args.out)
     chart_dir = out / CHART_DIR
-    chart_dir.mkdir(parents=True, exist_ok=True)
+    make_dir(chart_dir)
     for i in range(args.charts):
         spec = _sample_spec(args.seed, i)
         svg, geom = render_chart(spec)
@@ -472,7 +474,7 @@ def _build_llm_items(charts, args):
         pool.shutdown(cancel_futures=True)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    make_dir(out)
     _write_jsonl(out / "provenance.jsonl", provenance)
     return items, review_rows
 
@@ -503,6 +505,12 @@ def _read_jsonl(path: Path, what: str):
             yield n, row
 
 
+# the JSON values a prediction may not be: it is scored as text, and
+# str() would turn null into "None" and true into "True"
+_NOT_A_PREDICTION = {type(None): "null", bool: "a boolean", list: "an array",
+                     dict: "an object"}
+
+
 def _read_predictions(path: Path) -> dict:
     preds: dict[str, str] = {}
     for n, row in _read_jsonl(path, "predictions"):
@@ -512,7 +520,12 @@ def _read_predictions(path: Path) -> dict:
         qa_id = str(row["qa_id"])
         if qa_id in preds:
             raise ConfigError(f"{path}:{n}: repeats qa_id {qa_id!r}")
-        preds[qa_id] = str(row["prediction"])
+        pred = row["prediction"]
+        if type(pred) in _NOT_A_PREDICTION:
+            raise ConfigError(
+                f"{path}:{n}: prediction must be a string or a number, "
+                f"not {_NOT_A_PREDICTION[type(pred)]}")
+        preds[qa_id] = str(pred)
     return preds
 
 
@@ -538,19 +551,26 @@ def cmd_evaluate(args) -> int:
     it is read, and the outcomes and report land only once every dataset
     file has passed its checks."""
     reader = DatasetReader(args.dataset)
-    # chart files are verified and parsed like every listed file; scoring
-    # reads none of them, so none is kept
-    for _ in reader.charts():
-        pass
+    # scoring reads no chart file and the reader takes the chart ids from
+    # the manifest, so the chart files are only checked against their
+    # digests, not parsed
+    reader.check_charts()
     preds = _read_predictions(Path(args.predictions))
     tally = {"missing": 0}
-    with AtomicFile(Path(args.out)) as out:
+    with ExitStack() as stack:
+        # both outputs are opened before scoring, so a path that cannot
+        # be written fails before any work
+        out = stack.enter_context(AtomicFile(Path(args.out)))
+        report_file = (stack.enter_context(AtomicFile(Path(args.report)))
+                       if args.report else None)
         items = heapq.merge(*map(reader.items, FAMILIES),
                             key=attrgetter("qa_id"))
         report = aggregate(_scored(items, preds, args.mode, out, tally),
                            list(FAMILIES))
         for _ in reader.review_rows():
             pass
+        if report_file is not None:
+            report_file.write(report_to_json(report).encode("utf-8"))
 
     stray = sorted(preds)  # predictions no item took
     for qa_id in stray[:20]:
@@ -561,9 +581,6 @@ def cmd_evaluate(args) -> int:
     if tally["missing"]:
         print(f"note: {tally['missing']} items have no prediction; "
               f"scoring them 0", file=sys.stderr)
-    if args.report:
-        _atomic_write(Path(args.report),
-                      report_to_json(report).encode("utf-8"))
     print(format_report_table(report))
     return 0
 
@@ -616,8 +633,12 @@ def cmd_label(args) -> int:
         else:
             review_rows.append({
                 "qa_id": qa_id, "answer_a": answer_a, "answer_b": answer_b})
-    _write_jsonl(Path(args.accepted), accepted_rows)
-    _write_jsonl(Path(args.review), review_rows)
+    # both files are opened before either lands, so a path that cannot
+    # be written leaves neither behind
+    with AtomicFile(Path(args.accepted)) as accepted, \
+            AtomicFile(Path(args.review)) as review:
+        accepted.write(b"".join(map(_jsonl_line, accepted_rows)))
+        review.write(b"".join(map(_jsonl_line, review_rows)))
     print(f"accepted {len(accepted_rows)}, "
           f"queued {len(review_rows)} for review")
     return 0

@@ -317,11 +317,8 @@ def trace_to_dict(trace: ReasoningTrace) -> dict:
 
 def trace_from_dict(d: dict) -> ReasoningTrace:
     return ReasoningTrace(
-        subs=tuple(
-            SubQuestion(index=s["i"], kind=sys.intern(s["kind"]),
-                        question=s["q"], answer=s["a"])
-            for s in d["subs"]
-        ),
+        subs=tuple([SubQuestion(s["i"], sys.intern(s["kind"]), s["q"], s["a"])
+                    for s in d["subs"]]),
         final=d["final"],
     )
 

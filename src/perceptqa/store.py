@@ -159,6 +159,19 @@ def _check_item(item: QAItem, chart_ids, held, qa_ids: set,
 # ---------------------------------------------------------------------------
 # writing
 
+def _cannot_write(path: Path, exc: OSError) -> StoreError:
+    return StoreError(f"cannot write {path}: {exc.strerror or exc}")
+
+
+def make_dir(path: Path) -> None:
+    """Create path and its parents unless it exists; a failure is a
+    one-line StoreError."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _cannot_write(path, exc) from None
+
+
 def _lock_holder(path: Path) -> str:
     """Name the writer a lock file records, and say whether it still runs."""
     try:
@@ -190,6 +203,8 @@ class _Lock:
             raise StoreError(
                 f"dataset {self.path.parent} is locked by another writer "
                 f"({_lock_holder(self.path)})")
+        except OSError as exc:
+            raise _cannot_write(self.path, exc) from None
         try:
             os.write(fd, f"{os.getpid()}\n".encode("ascii"))
         finally:
@@ -207,7 +222,8 @@ class _Lock:
 class AtomicFile:
     """A file written in binary through a temp file and hashed as it is
     written.  Leaving the with block renames it into place; an error in
-    the block, or in the rename, removes the temp file instead."""
+    the block, or in the rename, removes the temp file instead.  A file
+    that cannot be written is a one-line StoreError naming its path."""
 
     def __init__(self, path: Path):
         self.path = path
@@ -217,11 +233,17 @@ class AtomicFile:
         self.sha256 = hashlib.sha256()
 
     def __enter__(self):
-        self._fh = open(self.tmp, "wb")
+        try:
+            self._fh = open(self.tmp, "wb")
+        except OSError as exc:
+            raise _cannot_write(self.path, exc) from None
         return self
 
     def write(self, data: bytes) -> None:
-        self._fh.write(data)
+        try:
+            self._fh.write(data)
+        except OSError as exc:
+            raise _cannot_write(self.path, exc) from None
         self.sha256.update(data)
 
     def __exit__(self, exc_type, *_):
@@ -231,6 +253,8 @@ class AtomicFile:
             if exc_type is None:
                 os.replace(self.tmp, self.path)
                 renamed = True
+        except OSError as exc:
+            raise _cannot_write(self.path, exc) from None
         finally:
             if not renamed:
                 self.tmp.unlink(missing_ok=True)
@@ -320,13 +344,13 @@ def write_dataset(
     root = Path(root)
     held = set(holdout_chart_ids)
     created = not root.exists()
-    root.mkdir(parents=True, exist_ok=True)
+    make_dir(root)
     try:
         with _Lock(root):
             # until the new manifest lands the directory is not a dataset
             (root / MANIFEST_NAME).unlink(missing_ok=True)
-            (root / CHART_DIR).mkdir(exist_ok=True)
-            (root / QA_DIR).mkdir(exist_ok=True)
+            make_dir(root / CHART_DIR)
+            make_dir(root / QA_DIR)
             digests: dict[str, str] = {}
             with ExitStack() as stack:
                 families = {fam: stack.enter_context(
@@ -370,9 +394,11 @@ _MALFORMED = (ValueError, KeyError, TypeError, AttributeError, IndexError,
               ArithmeticError)
 
 
-def _open_listed(root: Path, rel: str):
+def _open_listed(root: Path, rel: str, buffering: int = -1):
     try:
-        return open(root / rel, "rb")
+        # a str path: building a Path per file costs about a third of
+        # what reading a chart file does
+        return open(f"{root}/{rel}", "rb", buffering=buffering)
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
         raise StoreError(f"manifest lists missing file {rel}") from None
 
@@ -388,7 +414,7 @@ def _check_digest(rel: str, digests: dict, actual: str) -> None:
 def _read_listed(root: Path, rel: str, digests: dict | None) -> bytes:
     """The bytes of one file the manifest lists, checked against its
     digest when digests is given."""
-    with _open_listed(root, rel) as fh:
+    with _open_listed(root, rel, buffering=0) as fh:
         data = fh.read()
     if digests is not None:
         _check_digest(rel, digests, _sha256_bytes(data))
@@ -451,18 +477,34 @@ def _listed_rows(root: Path, rel: str, digests: dict | None, parse):
         _check_digest(rel, digests, digest.hexdigest())
 
 
+def _chart_file(rel: str) -> tuple[str, bool] | None:
+    """For a file the manifest lists as charts/<chart_id>.json or
+    charts/<chart_id>.geom.json, its chart id and whether it is a geometry
+    map; None for any other file (an SVG)."""
+    if not rel.startswith(f"{CHART_DIR}/"):
+        return None
+    name = rel[len(CHART_DIR) + 1:]
+    if name.endswith(".geom.json"):
+        return name[:-len(".geom.json")], True
+    if name.endswith(".json"):
+        return name[:-len(".json")], False
+    return None
+
+
 class DatasetReader:
     """A dataset directory read back one file at a time.
 
-    Opening it reads the manifest and, with verify, rejects any file
-    under charts/ or qa/ that the manifest does not list.  Then, in this
-    order: charts() yields every chart spec and geometry map; items(fam)
-    yields one family file's items, each checked as it is parsed (ids,
-    questions, chart, family, split, qa_id order), and checks the file's
-    count once it is read; review_rows() yields the review queue.  A file
-    that fails its digest is reported as such even when one of its rows
-    failed a check first.  verify=False skips the digests and the
-    unlisted files, not the row checks.
+    Opening it reads the manifest, takes the chart ids from the names of
+    the chart specs it lists (charts/<chart_id>.json) and, with verify,
+    rejects any file under charts/ or qa/ that the manifest does not
+    list.  Then, in any order: charts() yields every chart spec and
+    geometry map, or check_charts() only checks the chart files'
+    digests; items(fam) yields one family file's items, each checked as
+    it is parsed (ids, questions, chart, family, split, qa_id order),
+    and checks the file's count once it is read; review_rows() yields the
+    review queue.  A file that fails its digest is reported as such even
+    when one of its rows failed a check first.  verify=False skips the
+    digests and the unlisted files, not the row checks.
     """
 
     def __init__(self, root: str | Path, verify: bool = True):
@@ -476,7 +518,14 @@ class DatasetReader:
         listed = self.manifest.file_digests
         self.digests = listed if verify else None
         self.held = set(self.manifest.holdout_chart_ids)
-        self.chart_ids: set[str] = set()
+        # every listed file that items() and review_rows() do not read:
+        # the chart files, and any other the manifest names
+        family_files = {f"{QA_DIR}/{fam}.jsonl" for fam in FAMILIES}
+        self._other_files = [rel for rel in sorted(listed)
+                             if rel not in family_files and rel != REVIEW_NAME]
+        chart_files = filter(None, map(_chart_file, self._other_files))
+        self.chart_ids = {chart_id for chart_id, is_geom in chart_files
+                          if not is_geom}
         self.qa_ids: set[str] = set()
         self.questions: set = set()
         if verify:
@@ -489,22 +538,32 @@ class DatasetReader:
                                 f"unlisted file {base}/{name}: the manifest "
                                 f"holds no digest for it")
 
+    def check_charts(self) -> None:
+        """Check the digest of every listed file that charts() reads,
+        parsing none of them."""
+        if self.digests is not None:
+            for rel in self._other_files:
+                _read_listed(self.root, rel, self.digests)
+
     def charts(self):
-        # a listed file that nothing parses (an SVG) is read only to
-        # check its digest
+        """Yield every chart spec and geometry map, each checked to carry
+        the chart id its file name does; a listed file that nothing parses
+        (an SVG) is read only to check its digest."""
         root, digests = self.root, self.digests
-        skip = {f"{QA_DIR}/{fam}.jsonl" for fam in FAMILIES} | {REVIEW_NAME}
-        for rel in sorted(self.manifest.file_digests):
-            if rel.startswith(f"{CHART_DIR}/") and rel.endswith(".json"):
+        for rel in self._other_files:
+            chart_file = _chart_file(rel)
+            if chart_file is not None:
+                chart_id, is_geom = chart_file
                 path = root / rel
                 text = _decode(_read_listed(root, rel, digests), path)
-                if rel.endswith(".geom.json"):
-                    yield _parse(loads_geom, text, path)
-                else:
-                    spec = _parse(loads_chart, text, path)
-                    self.chart_ids.add(spec.chart_id)
-                    yield spec
-            elif digests is not None and rel not in skip:
+                chart = _parse(loads_geom if is_geom else loads_chart,
+                               text, path)
+                if chart.chart_id != chart_id:
+                    raise StoreError(
+                        f"{path}: chart_id {chart.chart_id!r} does not "
+                        f"match its file name")
+                yield chart
+            elif digests is not None:
                 _read_listed(root, rel, digests)
 
     def items(self, fam: str):

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import perceptqa.cli as cli
+import perceptqa.store as store
 from perceptqa.charts import dumps_chart, loads_chart
 from perceptqa.cli import main
 from perceptqa.errors import InvariantError, StoreError
@@ -432,36 +433,54 @@ def test_report_rerenders_evaluate_output(built, tmp_path, capsys):
 
 def test_evaluate_writes_nothing_when_a_family_file_fails(built, tmp_path,
                                                          capsys):
+    """A family file that fails its digest on its last row, or a chart
+    spec, SVG or geometry map that fails its digest, ends evaluate with
+    one error line and leaves neither output behind."""
     out, ds = built
-    copy = tmp_path / "ds"
-    shutil.copytree(out, copy)
-    path = copy / "qa" / "extract.jsonl"
-    lines = path.read_text("utf-8").splitlines(keepends=True)
-    row = json.loads(lines[-1])
-    row["answer"] += "0"
-    path.write_text("".join(lines[:-1]) + json.dumps(row) + "\n", "utf-8")
     preds = tmp_path / "preds.jsonl"
     _write_jsonl(preds, [{"qa_id": i.qa_id, "prediction": i.answer}
                          for i in ds.items])
     outcomes, report = tmp_path / "outcomes.jsonl", tmp_path / "report.json"
-    capsys.readouterr()
-    assert main(["evaluate", "--dataset", str(copy), "--predictions",
-                 str(preds), "--out", str(outcomes),
-                 "--report", str(report)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: digest mismatch for qa/extract.jsonl")
-    assert err.count("\n") == 1
-    assert not outcomes.exists() and not report.exists()
-    assert list(tmp_path.glob("*.tmp")) == []
+    chart = f"charts/{min(ds.charts)}"
+    for n, rel in enumerate(["qa/extract.jsonl", f"{chart}.json",
+                             f"{chart}.svg", f"{chart}.geom.json"]):
+        copy = tmp_path / f"ds{n}"
+        shutil.copytree(out, copy)
+        path = copy / rel
+        if rel.startswith("qa/"):
+            lines = path.read_text("utf-8").splitlines(keepends=True)
+            row = json.loads(lines[-1])
+            row["answer"] += "0"
+            path.write_text("".join(lines[:-1]) + json.dumps(row) + "\n",
+                            "utf-8")
+        else:
+            path.write_bytes(path.read_bytes() + b" ")
+        capsys.readouterr()
+        assert main(["evaluate", "--dataset", str(copy), "--predictions",
+                     str(preds), "--out", str(outcomes),
+                     "--report", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: digest mismatch for {rel}:")
+        assert err.count("\n") == 1
+        assert not outcomes.exists() and not report.exists()
+        assert list(tmp_path.glob("*.tmp")) == []
 
 
 @pytest.mark.parametrize("mode", ["short", "dot"])
-def test_evaluate_and_report_bytes_are_pinned(built, tmp_path, mode):
+def test_evaluate_and_report_bytes_are_pinned(built, tmp_path, monkeypatch,
+                                              mode):
     """Outcome and report bytes of a mixed run: a third of the items
     answered right, a third wrongly (a bare answer in dot mode), a third
     not at all.  The pins were taken before evaluate streamed the family
-    files and aggregate took any iterable."""
+    files and aggregate took any iterable; evaluate must reproduce them
+    without parsing a chart file."""
     out, ds = built
+
+    def refuse(text):
+        raise AssertionError("evaluate parsed a chart file")
+
+    monkeypatch.setattr(store, "loads_chart", refuse)
+    monkeypatch.setattr(store, "loads_geom", refuse)
     right = (lambda i: i.answer) if mode == "short" else (
         lambda i: format_trace(i.trace))
     wrong = (lambda i: "0") if mode == "short" else (lambda i: i.answer)
@@ -482,6 +501,81 @@ def test_evaluate_and_report_bytes_are_pinned(built, tmp_path, mode):
                for p in (outcomes, report)]
     assert digests == {"short": ["ca7c22c235729e7e", "f08967129f79dd25"],
                        "dot": ["9746e07488a3b96c", "f04b3081f7e9b27a"]}[mode]
+
+
+@pytest.mark.parametrize("value, kind", [(None, "null"), (True, "a boolean"),
+                                         ([1], "an array"),
+                                         ({"a": 1}, "an object")])
+def test_evaluate_rejects_a_prediction_that_is_not_text(built, tmp_path,
+                                                        capsys, value, kind):
+    out, ds = built
+    preds = tmp_path / "preds.jsonl"
+    _write_jsonl(preds, [{"qa_id": ds.items[0].qa_id, "prediction": "1"},
+                         {"qa_id": ds.items[1].qa_id, "prediction": value}])
+    outcomes = tmp_path / "outcomes.jsonl"
+    assert main(["evaluate", "--dataset", str(out), "--predictions",
+                 str(preds), "--out", str(outcomes)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {preds}:2: prediction must be a string or a number, "
+        f"not {kind}\n")
+    assert not outcomes.exists()
+
+
+def test_evaluate_reads_a_number_prediction_as_its_text(built, tmp_path):
+    out, ds = built
+    item = next(i for i in ds.items if i.answer_type == "number")
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text(f'{{"qa_id": "{item.qa_id}", "prediction": '
+                     f'{item.answer}}}\n', "utf-8")
+    outcomes = tmp_path / "outcomes.jsonl"
+    assert main(["evaluate", "--dataset", str(out), "--predictions",
+                 str(preds), "--out", str(outcomes)]) == 0
+    rows = {row["qa_id"]: row for row in map(
+        json.loads, outcomes.read_text("utf-8").splitlines())}
+    assert rows[item.qa_id]["passed"] is True
+
+
+@pytest.mark.parametrize("option", ["evaluate --out", "evaluate --report",
+                                    "report --json", "label --accepted",
+                                    "label --review", "gen-charts --out"])
+def test_unwritable_output_path_is_one_error_line(built, tmp_path, capsys,
+                                                  option):
+    out, ds = built
+    preds = tmp_path / "preds.jsonl"
+    _write_jsonl(preds, [{"qa_id": i.qa_id, "prediction": i.answer}
+                         for i in ds.items])
+    outcomes = tmp_path / "outcomes.jsonl"
+    assert main(["evaluate", "--dataset", str(out), "--predictions",
+                 str(preds), "--out", str(outcomes)]) == 0
+    pairs = tmp_path / "pairs.jsonl"
+    _write_jsonl(pairs, [{"qa_id": "q1", "answer_a": "1", "answer_b": "1"}])
+    (tmp_path / "file").write_text("", "utf-8")
+    missing = tmp_path / "missing" / "x"
+    bad, reason = {
+        "gen-charts --out": (tmp_path / "file" / "x" / "charts",
+                             "Not a directory"),
+    }.get(option, (missing, "No such file or directory"))
+    evaluate = ["evaluate", "--dataset", str(out), "--predictions",
+                str(preds), "--out", str(tmp_path / "o.jsonl")]
+    argv = {
+        "evaluate --out": evaluate[:-1] + [str(bad)],
+        "evaluate --report": evaluate + ["--report", str(bad)],
+        "report --json": ["report", "--outcomes", str(outcomes),
+                          "--json", str(bad)],
+        "label --accepted": ["label", "--pairs", str(pairs),
+                             "--accepted", str(bad),
+                             "--review", str(tmp_path / "r.jsonl")],
+        "label --review": ["label", "--pairs", str(pairs),
+                           "--accepted", str(tmp_path / "a.jsonl"),
+                           "--review", str(bad)],
+        "gen-charts --out": ["gen-charts", "--charts", "1",
+                             "--out", str(tmp_path / "file" / "x")],
+    }[option]
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: cannot write {bad}: {reason}\n"
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_report_shows_placeholder_for_absent_families(tmp_path, capsys):

@@ -14,7 +14,10 @@ import pytest
 
 from perceptqa.errors import StoreError
 from perceptqa.qagen import GenConfig, generate_items, item_to_dict
+from perceptqa.queries import FAMILIES
 from perceptqa.store import (
+    AtomicFile,
+    DatasetReader,
     _Lock,
     check_leakage,
     load_dataset,
@@ -300,6 +303,82 @@ def test_malformed_json_file_is_a_one_line_store_error(corpus, tmp_path,
     assert "\n" not in str(err.value)
 
 
+@pytest.mark.parametrize("suffix", [".json", ".geom.json"])
+def test_load_rejects_a_chart_id_other_than_the_file_name(corpus, tmp_path,
+                                                          suffix):
+    """A chart spec or geometry map must carry the chart id its file is
+    named after, also when the manifest vouches for its bytes."""
+    charts, items, test_ids = corpus
+    root = tmp_path / "ds"
+    _write(root, charts, items, test_ids)
+    chart_id = min(spec.chart_id for spec, _, _ in charts)
+    rel = f"charts/{chart_id}{suffix}"
+    text = (root / rel).read_text("utf-8")
+    old = f'"chart_id": "{chart_id}"'
+    assert text.count(old) == 1
+    (root / rel).write_text(
+        text.replace(old, f'"chart_id": "{chart_id}x"'), "utf-8")
+    manifest = root / "manifest.json"
+    doc = json.loads(manifest.read_text("utf-8"))
+    doc["file_digests"][rel] = hashlib.sha256(
+        (root / rel).read_bytes()).hexdigest()
+    manifest.write_text(json.dumps(doc, indent=2) + "\n", "utf-8")
+    for verify in (True, False):
+        with pytest.raises(StoreError) as err:
+            load_dataset(root, verify=verify)
+        assert str(err.value) == (f"{root / rel}: chart_id '{chart_id}x' "
+                                  f"does not match its file name")
+
+
+def test_reader_takes_chart_ids_from_the_manifest(corpus, tmp_path):
+    """items() needs no pass over the chart files first: the chart ids
+    are the names of the chart specs the manifest lists."""
+    charts, items, test_ids = corpus
+    root = tmp_path / "ds"
+    _write(root, charts, items, test_ids)
+    reader = DatasetReader(root)
+    assert reader.chart_ids == {spec.chart_id for spec, _, _ in charts}
+    read = [item for fam in FAMILIES for item in reader.items(fam)]
+    assert read == list(load_dataset(root).items)
+
+
+def test_check_charts_checks_digests_without_parsing(corpus, tmp_path,
+                                                     monkeypatch):
+    import perceptqa.store as store
+
+    charts, items, test_ids = corpus
+    root = tmp_path / "ds"
+    _write(root, charts, items, test_ids)
+
+    def refuse(text):
+        raise AssertionError("a chart file was parsed")
+
+    monkeypatch.setattr(store, "loads_chart", refuse)
+    monkeypatch.setattr(store, "loads_geom", refuse)
+    DatasetReader(root).check_charts()
+    for path in sorted((root / "charts").iterdir()):
+        original = path.read_bytes()
+        path.write_bytes(original + b" ")
+        rel = path.relative_to(root).as_posix()
+        with pytest.raises(StoreError, match=f"^digest mismatch for {rel}:"):
+            DatasetReader(root).check_charts()
+        path.write_bytes(original)
+
+
+def test_unwritable_path_is_a_one_line_store_error(tmp_path):
+    target = tmp_path / "missing" / "out.jsonl"
+    with pytest.raises(StoreError) as err:
+        with AtomicFile(target) as fh:
+            fh.write(b"x")
+    assert str(err.value) == (f"cannot write {target}: "
+                              f"No such file or directory")
+    (tmp_path / "file").write_text("", "utf-8")
+    with pytest.raises(StoreError, match="^cannot write .*: Not a directory$"):
+        write_dataset(tmp_path / "file" / "ds", "ds-test", [], (),
+                      config_digest="cfg0", tool_version="0.1.0")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
 def test_load_requires_manifest(tmp_path):
     with pytest.raises(StoreError, match="manifest"):
         load_dataset(tmp_path)
@@ -403,11 +482,12 @@ def test_failed_rename_surfaces_and_leaves_no_temp_file(corpus, tmp_path,
         raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(os, "replace", refuse)
-    with pytest.raises(OSError, match="No space left on device"):
+    with pytest.raises(StoreError) as err:
         _write(root, charts, items, test_ids)
     monkeypatch.undo()
 
     (src, dst), = renamed
+    assert str(err.value) == f"cannot write {dst}: No space left on device"
     writer = f"{os.getpid()}-{threading.get_ident()}"
     assert src.name == f"{dst.name}.{writer}.tmp"
     assert list(root.rglob("*.tmp")) == []
