@@ -51,10 +51,11 @@ from .qagen import (
     FAMILY_NAMES,
     GenConfig,
     QAItem,
+    _normalize_question,
     generate_items,
     stable_seed,
 )
-from .queries import FAMILIES
+from .queries import ANSWER_TYPES, FAMILIES
 from .reasoning import load_lexicon
 from .render import loads_geom, render_chart
 from .store import (
@@ -62,11 +63,11 @@ from .store import (
     AtomicFile,
     DatasetReader,
     _atomic_write,
-    _decode,
     _jsonl_line,
     _parse,
     load_dataset,  # not called here: perfbench/tracer.py wraps cli.load_dataset
     make_dir,
+    read_jsonl,
     split_holdout,
     write_chart_files,
     write_dataset,
@@ -83,6 +84,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) <= 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, not {text!r}")
+    return int(text)
 
 
 def _parse_weights(text: str) -> tuple[tuple[str, float], ...]:
@@ -141,19 +149,11 @@ def _write_run_record(out: Path, command: str, config: dict,
     _atomic_write(out / "run.json", text.encode("utf-8"))
 
 
-def _write_jsonl(path: Path, rows) -> None:
-    _atomic_write(path, b"".join(map(_jsonl_line, rows)))
-
-
 def _sample_spec(seed: int, index: int):
     return sample_chart_spec(stable_seed(seed, "chart", index))
 
 
 def _validate_gen_args(args) -> None:
-    if args.charts is not None and args.charts <= 0:
-        raise ConfigError("--charts must be positive")
-    if args.per_chart <= 0:
-        raise ConfigError("--per-chart must be positive")
     if not 0 <= args.holdout < 1:
         raise ConfigError("--holdout must lie in [0, 1)")
     if args.mode == "llm":
@@ -194,10 +194,6 @@ def _with_split(charts, items_of, held):
 # gen commands
 
 def cmd_gen_charts(args) -> int:
-    if args.charts is None:
-        raise ConfigError("--charts is required")
-    if args.charts <= 0:
-        raise ConfigError("--charts must be positive")
     out = Path(args.out)
     chart_dir = out / CHART_DIR
     make_dir(chart_dir)
@@ -221,7 +217,7 @@ def _read_specs(chart_dir: Path) -> list:
     for path in sorted(chart_dir.glob("*.json")):
         if path.name.endswith(".geom.json"):
             continue
-        spec = _parse(loads_chart, _decode(path.read_bytes(), path), path)
+        spec = _parse(loads_chart, path.read_bytes(), path)
         for ext in (".svg", ".geom.json"):
             if not (chart_dir / f"{spec.chart_id}{ext}").is_file():
                 raise ConfigError(f"chart {spec.chart_id} is missing its "
@@ -249,12 +245,9 @@ def cmd_build_dataset(args) -> int:
         def draw(spec):  # the SVG and geometry stored beside the spec
             svg_path = chart_dir / f"{spec.chart_id}.svg"
             geom_path = chart_dir / f"{spec.chart_id}.geom.json"
-            geom_text = _decode(geom_path.read_bytes(), geom_path)
-            return (_decode(svg_path.read_bytes(), svg_path),
-                    _parse(loads_geom, geom_text, geom_path))
+            return (_parse(str, svg_path.read_bytes(), svg_path),
+                    _parse(loads_geom, geom_path.read_bytes(), geom_path))
     else:
-        if args.charts is None:
-            raise ConfigError("--charts is required")
         specs = [_sample_spec(args.seed, i) for i in range(args.charts)]
         draw = render_chart
     _check_chart_ids(specs)
@@ -442,7 +435,7 @@ def _build_llm_items(charts, args):
                     print(f"note: rejected {family} question on "
                           f"{spec.chart_id}: {reason}", file=sys.stderr)
                 for cand in accepted:
-                    qkey = " ".join(cand.question.split()).casefold()
+                    qkey = _normalize_question(cand.question)
                     if qkey in taken:
                         print(f"note: dropped duplicate question on "
                               f"{spec.chart_id}: {cand.question!r}",
@@ -475,58 +468,81 @@ def _build_llm_items(charts, args):
 
     out = Path(args.out)
     make_dir(out)
-    _write_jsonl(out / "provenance.jsonl", provenance)
+    _atomic_write(out / "provenance.jsonl",
+                  b"".join(map(_jsonl_line, provenance)))
     return items, review_rows
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _read_jsonl(path: Path, what: str):
-    """Yield (line number, row) for every non-blank line of a JSONL file,
-    read one line at a time; a missing file, or a line that is not UTF-8
-    or not a JSON object, is a ConfigError.  A line ends only at a line
-    feed: a JSON string may hold U+2028 and the other separators that
-    str.splitlines() splits at."""
-    if not path.is_file():
-        raise ConfigError(f"{what} file {path} does not exist")
-    with open(path, "rb") as fh:
-        for n, raw in enumerate(fh, start=1):
-            if raw.isspace():
-                continue
-            try:
-                row = json.loads(raw.decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise ConfigError(f"{path}:{n}: not UTF-8 text: {exc}")
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}:{n}: not valid JSON: {exc}")
-            if not isinstance(row, dict):
-                raise ConfigError(f"{path}:{n}: expected a JSON object")
-            yield n, row
+def _is_str(value) -> bool:
+    return type(value) is str
 
 
-# the JSON values a prediction may not be: it is scored as text, and
-# str() would turn null into "None" and true into "True"
-_NOT_A_PREDICTION = {type(None): "null", bool: "a boolean", list: "an array",
-                     dict: "an object"}
+# the fields of each input file's rows: name -> (required, what its
+# value must be, a test of the value); the tests compare type(), since
+# isinstance() counts a JSON true or false as a number
+_STR = (True, "a string", _is_str)
+_ROWS = {
+    "predictions": {
+        "qa_id": _STR,
+        "prediction": (True, "a string or a number",
+                       lambda v: type(v) in (str, int, float)),
+    },
+    "outcomes": {
+        "family": (True, f"one of {', '.join(FAMILIES)}",
+                   FAMILIES.__contains__),
+        "qa_id": _STR, "metric": _STR,
+        "score": (True, "a number in [0, 1]",
+                  lambda v: type(v) in (int, float) and 0 <= v <= 1),
+        "passed": (True, "a boolean", lambda v: type(v) is bool),
+        "pred": _STR, "gold": _STR,
+        "violations": (False, "an array of strings",
+                       lambda v: type(v) is list and all(map(_is_str, v))),
+    },
+    "pairs": {
+        "qa_id": _STR, "answer_a": _STR, "answer_b": _STR,
+        "answer_type": (False, f"one of {', '.join(ANSWER_TYPES)}",
+                        ANSWER_TYPES.__contains__),
+    },
+}
+
+
+# how an error names a field's value: a boolean or a container by its
+# kind, anything else by its JSON text
+_KINDS = {bool: "a boolean", list: "an array", dict: "an object"}
+
+
+def _read_rows(path: Path, kind: str):
+    """Yield each row of a JSONL input file of the given kind, checked
+    against its fields in _ROWS; a qa_id may appear only once."""
+    fields = _ROWS[kind]
+    required = [name for name, (needed, _, _) in fields.items() if needed]
+    needs = f"each row needs {', '.join(required[:-1])} and {required[-1]}"
+    seen: set[str] = set()
+
+    def check(row: dict) -> dict:
+        for name, (needed, what, ok) in fields.items():
+            if name not in row:
+                if needed:
+                    raise ValueError(needs)
+            elif not ok(value := row[name]):
+                shown = _KINDS.get(type(value)) or json.dumps(value)
+                raise ValueError(f"{name} must be {what}, not {shown}")
+        qa_id = row["qa_id"]
+        if qa_id in seen:
+            raise ValueError(f"repeats qa_id {qa_id!r}")
+        seen.add(qa_id)
+        return row
+
+    return read_jsonl(path, check)
 
 
 def _read_predictions(path: Path) -> dict:
-    preds: dict[str, str] = {}
-    for n, row in _read_jsonl(path, "predictions"):
-        if "qa_id" not in row or "prediction" not in row:
-            raise ConfigError(
-                f"{path}:{n}: each row needs qa_id and prediction keys")
-        qa_id = str(row["qa_id"])
-        if qa_id in preds:
-            raise ConfigError(f"{path}:{n}: repeats qa_id {qa_id!r}")
-        pred = row["prediction"]
-        if type(pred) in _NOT_A_PREDICTION:
-            raise ConfigError(
-                f"{path}:{n}: prediction must be a string or a number, "
-                f"not {_NOT_A_PREDICTION[type(pred)]}")
-        preds[qa_id] = str(pred)
-    return preds
+    """qa_id -> prediction text; a JSON number is read as its text."""
+    return {row["qa_id"]: str(row["prediction"])
+            for row in _read_rows(path, "predictions")}
 
 
 def _scored(items, preds: dict, mode: str, out, tally: dict):
@@ -541,7 +557,7 @@ def _scored(items, preds: dict, mode: str, out, tally: dict):
         outcome = score_item(pred, item, mode)
         row = {"family": item.family}
         row.update(outcome_to_dict(outcome))
-        out.write((json.dumps(row) + "\n").encode("utf-8"))
+        out.write(_jsonl_line(row))
         yield item.family, outcome
 
 
@@ -587,23 +603,10 @@ def cmd_evaluate(args) -> int:
 
 def _outcomes_from_file(path: Path):
     """Yield (family, EvalOutcome) for each row of an outcomes file."""
-    n = 0
-    for n, row in _read_jsonl(path, "outcomes"):
-        try:
-            outcome = EvalOutcome(
-                qa_id=row["qa_id"],
-                metric=row["metric"],
-                score=row["score"],
-                passed=row["passed"],
-                pred_canonical=row["pred"],
-                gold_canonical=row["gold"],
-                format_violations=tuple(row.get("violations", ())),
-            )
-            yield row["family"], outcome
-        except KeyError as exc:
-            raise ConfigError(f"{path}:{n}: missing key {exc}")
-    if not n:
-        raise ConfigError(f"{path} holds no outcomes")
+    for row in _read_rows(path, "outcomes"):
+        yield row["family"], EvalOutcome(
+            row["qa_id"], row["metric"], row["score"], row["passed"],
+            row["pred"], row["gold"], tuple(row.get("violations", ())))
 
 
 def cmd_report(args) -> int:
@@ -616,16 +619,11 @@ def cmd_report(args) -> int:
 
 
 def cmd_label(args) -> int:
-    path = Path(args.pairs)
     accepted_rows = []
     review_rows = []
-    for n, row in _read_jsonl(path, "pairs"):
-        try:
-            qa_id = row["qa_id"]
-            answer_a = row["answer_a"]
-            answer_b = row["answer_b"]
-        except KeyError as exc:
-            raise ConfigError(f"{path}:{n}: missing key {exc}")
+    for row in _read_rows(Path(args.pairs), "pairs"):
+        qa_id, answer_a, answer_b = (row["qa_id"], row["answer_a"],
+                                     row["answer_b"])
         answer_type = row.get("answer_type") or _infer_answer_type(answer_a)
         label = dual_agreement_label(answer_a, answer_b, answer_type)
         if label.status == "accepted":
@@ -650,7 +648,7 @@ def cmd_label(args) -> int:
 def _add_chart_options(p, needs_charts: bool):
     p.add_argument("--seed", type=int, default=0)
     if needs_charts:
-        p.add_argument("--charts", type=int, default=None,
+        p.add_argument("--charts", type=_positive_int, required=True,
                        help="number of charts to generate")
     else:
         p.set_defaults(charts=None)
@@ -658,8 +656,8 @@ def _add_chart_options(p, needs_charts: bool):
 
 
 def _add_qa_options(p):
-    p.add_argument("--per-chart", dest="per_chart", type=int, default=12,
-                   help="questions per chart")
+    p.add_argument("--per-chart", dest="per_chart", type=_positive_int,
+                   default=12, help="questions per chart")
     p.add_argument("--weights", type=_parse_weights, default=None,
                    help="family weights as four comma-separated numbers "
                         "(position,length,pattern,extract)")

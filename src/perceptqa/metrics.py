@@ -217,18 +217,21 @@ def exact_match(pred: CanonicalAnswer, gold: CanonicalAnswer) -> float:
     return 1.0 if pred.value == gold.value else 0.0
 
 
-_METRIC_BY_TYPE = {
-    "number": "relaxed",
-    "year": "year_em",
-    "text": "anls",
-    "boolean": "em",
-    "mcq": "em",
+# answer type -> (metric name, scorer of canonical answers); every
+# scorer gives 0.0 for a miss, so any positive score passes
+_SCORERS = {
+    "number": ("relaxed", relaxed_accuracy),
+    "year": ("year_em", year_exact),
+    "text": ("anls", lambda pred, gold: anls(str(pred.value),
+                                             str(gold.value))),
+    "boolean": ("em", exact_match),
+    "mcq": ("em", exact_match),
 }
 
 
 def metric_for(answer_type: str) -> str:
     try:
-        return _METRIC_BY_TYPE[answer_type]
+        return _SCORERS[answer_type][0]
     except KeyError:
         raise ConfigError(f"no metric registered for answer type {answer_type!r}")
 
@@ -296,25 +299,12 @@ def score_item(pred_text: str, item: QAItem, mode: str = "short") -> EvalOutcome
     pred = normalize_answer(answer_text, item.answer_type)
     gold = normalize_answer(item.answer, item.answer_type)
     metric = metric_for(item.answer_type)
-
-    if metric == "relaxed":
-        score = relaxed_accuracy(pred, gold)
-        passed = score == 1.0
-    elif metric == "year_em":
-        score = year_exact(pred, gold)
-        passed = score == 1.0
-    elif metric == "anls":
-        score = anls(str(pred.value), str(gold.value))
-        passed = score > 0.0
-    else:
-        score = exact_match(pred, gold)
-        passed = score == 1.0
-
+    score = _SCORERS[item.answer_type][1](pred, gold)
     return EvalOutcome(
         qa_id=item.qa_id,
         metric=metric,
         score=score,
-        passed=passed,
+        passed=score > 0.0,
         pred_canonical=pred.render(),
         gold_canonical=gold.render(),
         format_violations=violations,

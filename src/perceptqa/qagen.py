@@ -108,6 +108,12 @@ class QAItem:
     query: QuerySpec | None = None  # kept in memory for re-checking; not serialized
 
 
+def _normalize_question(text: str) -> str:
+    """The key two questions on one chart must not share: the text with
+    its whitespace collapsed, case folded."""
+    return " ".join(text.split()).casefold()
+
+
 def item_to_dict(item: QAItem) -> dict:
     out = {
         "qa_id": item.qa_id,
@@ -780,7 +786,7 @@ def _assemble(
     if _leaks(check_answer, check_type, question):
         return None
 
-    key = question.casefold()
+    key = _normalize_question(question)
     if key in taken:
         return None
     taken.add(key)

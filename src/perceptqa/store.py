@@ -20,13 +20,14 @@ import shutil
 import threading
 from contextlib import ExitStack
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 
 from .charts import ChartSpec, dumps_chart, loads_chart
 from .errors import StoreError
-from .qagen import QAItem, item_from_dict, item_to_dict
+from .qagen import QAItem, _normalize_question, item_from_dict, item_to_dict
 from .queries import FAMILIES
 from .render import GeometryMap, dumps_geom, loads_geom
 
@@ -52,10 +53,6 @@ class DatasetManifest:
 
 def _sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def _normalize_question(text: str) -> str:
-    return " ".join(text.split()).casefold()
 
 
 def manifest_to_dict(m: DatasetManifest) -> dict:
@@ -388,19 +385,18 @@ def write_dataset(
 # ---------------------------------------------------------------------------
 # loading
 
-# what parsing a malformed file or row raises, from the JSON decoder or
-# from the row readers indexing into the wrong shape
+# what parsing a malformed file or row raises: from the UTF-8 or JSON
+# decoder, from the row readers indexing into the wrong shape, or from a
+# row check refusing a field
 _MALFORMED = (ValueError, KeyError, TypeError, AttributeError, IndexError,
               ArithmeticError)
 
 
-def _open_listed(root: Path, rel: str, buffering: int = -1):
+def _open(path, buffering: int = -1):
     try:
-        # a str path: building a Path per file costs about a third of
-        # what reading a chart file does
-        return open(f"{root}/{rel}", "rb", buffering=buffering)
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
-        raise StoreError(f"manifest lists missing file {rel}") from None
+        return open(path, "rb", buffering=buffering)
+    except OSError as exc:
+        raise StoreError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
 def _check_digest(rel: str, digests: dict, actual: str) -> None:
@@ -414,67 +410,62 @@ def _check_digest(rel: str, digests: dict, actual: str) -> None:
 def _read_listed(root: Path, rel: str, digests: dict | None) -> bytes:
     """The bytes of one file the manifest lists, checked against its
     digest when digests is given."""
-    with _open_listed(root, rel, buffering=0) as fh:
+    # a str path: building a Path per file costs about a third of what
+    # reading a chart file does
+    with _open(f"{root}/{rel}", buffering=0) as fh:
         data = fh.read()
     if digests is not None:
         _check_digest(rel, digests, _sha256_bytes(data))
     return data
 
 
-def _decode(data: bytes, path: Path) -> str:
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise StoreError(f"{path}: not UTF-8 text: {exc}") from None
+def _malformed(where, exc: Exception) -> StoreError:
+    return StoreError(f"{where}: malformed ({type(exc).__name__}: {exc})")
 
 
-def _parse(parse, text: str, path: Path, line: int | None = None):
-    """parse(text), with malformed input ending in a one-line StoreError
-    that names the file, and the line when given."""
+def _parse(parse, data: bytes, path: Path):
+    """parse(the UTF-8 text of data), with malformed input ending in a
+    one-line StoreError that names the file."""
     try:
-        return parse(text)
+        return parse(data.decode("utf-8"))
     except _MALFORMED as exc:
-        where = path if line is None else f"{path}:{line}"
-        raise StoreError(
-            f"{where}: malformed ({type(exc).__name__}: {exc})") from None
+        raise _malformed(path, exc) from None
 
 
-def _json_object(text: str) -> dict:
-    row = json.loads(text)
-    if not isinstance(row, dict):
-        raise TypeError("expected a JSON object")
-    return row
-
-
-def _listed_rows(root: Path, rel: str, digests: dict | None, parse):
-    """Yield parse(line) for every non-blank line of a listed JSONL file,
-    naming path:line on a malformed one.
+def read_jsonl(path: Path, parse, check_digest=None):
+    """Yield parse(obj) for the JSON object on each non-blank line of the
+    JSONL file at path; a line that is not UTF-8, not JSON or not an
+    object, or that parse rejects with one of _MALFORMED, ends in a
+    one-line StoreError naming path:line.
 
     The file is read and hashed one line at a time, so no whole file is
     held.  A line ends only at a line feed: a JSON string may hold U+2028
-    and the other separators that str.splitlines() splits at.  With digests,
-    a file that fails its digest is reported as such, also when a line
-    of it failed to parse first."""
-    path = root / rel
+    and the other separators that str.splitlines() splits at.  When
+    given, check_digest(sha256) is called once the file is read, also
+    when a line failed first, so a tampered file is reported as such."""
     digest = hashlib.sha256()
-
-    def parse_line(line: bytes):
-        return parse(line.decode("utf-8"))
-
-    with _open_listed(root, rel) as fh:
+    with _open(path) as fh:
         try:
             for n, line in enumerate(fh, start=1):
                 digest.update(line)
-                if not line.isspace():
-                    yield _parse(parse_line, line, path, n)
+                if line.isspace():
+                    continue
+                try:
+                    obj = json.loads(line.decode("utf-8"))
+                    if type(obj) is not dict:
+                        raise TypeError("expected a JSON object")
+                    value = parse(obj)
+                except _MALFORMED as exc:
+                    raise _malformed(f"{path}:{n}", exc) from None
+                yield value
         except StoreError:
-            if digests is not None:
+            if check_digest is not None:
                 for chunk in iter(lambda: fh.read(1 << 16), b""):
                     digest.update(chunk)
-                _check_digest(rel, digests, digest.hexdigest())
+                check_digest(digest.hexdigest())
             raise
-    if digests is not None:
-        _check_digest(rel, digests, digest.hexdigest())
+    if check_digest is not None:
+        check_digest(digest.hexdigest())
 
 
 def _chart_file(rel: str) -> tuple[str, bool] | None:
@@ -514,7 +505,7 @@ class DatasetReader:
             raise StoreError(f"no {MANIFEST_NAME} under {root}")
         self.manifest = _parse(
             lambda text: manifest_from_dict(json.loads(text)),
-            _decode(manifest_path.read_bytes(), manifest_path), manifest_path)
+            manifest_path.read_bytes(), manifest_path)
         listed = self.manifest.file_digests
         self.digests = listed if verify else None
         self.held = set(self.manifest.holdout_chart_ids)
@@ -555,9 +546,8 @@ class DatasetReader:
             if chart_file is not None:
                 chart_id, is_geom = chart_file
                 path = root / rel
-                text = _decode(_read_listed(root, rel, digests), path)
                 chart = _parse(loads_geom if is_geom else loads_chart,
-                               text, path)
+                               _read_listed(root, rel, digests), path)
                 if chart.chart_id != chart_id:
                     raise StoreError(
                         f"{path}: chart_id {chart.chart_id!r} does not "
@@ -566,6 +556,13 @@ class DatasetReader:
             elif digests is not None:
                 _read_listed(root, rel, digests)
 
+    def _rows(self, rel: str, parse):
+        """read_jsonl over a listed file, checked against its digest
+        unless verify is off."""
+        check_digest = (None if self.digests is None
+                        else partial(_check_digest, rel, self.digests))
+        return read_jsonl(self.root / rel, parse, check_digest)
+
     def items(self, fam: str):
         rel = f"{QA_DIR}/{fam}.jsonl"
         if rel not in self.manifest.file_digests:
@@ -573,9 +570,9 @@ class DatasetReader:
         path = self.root / rel
         last = ""
 
-        def parse(text: str) -> QAItem:
+        def parse(row: dict) -> QAItem:
             nonlocal last
-            item = item_from_dict(json.loads(text))
+            item = item_from_dict(row)
             if item.family != fam:
                 raise StoreError(
                     f"{path.name} holds an item of family {item.family!r}")
@@ -588,7 +585,7 @@ class DatasetReader:
             return item
 
         count = 0
-        for item in _listed_rows(self.root, rel, self.digests, parse):
+        for item in self._rows(rel, parse):
             count += 1
             yield item
         expected = self.manifest.counts.get(fam, 0)
@@ -598,8 +595,7 @@ class DatasetReader:
 
     def review_rows(self):
         if REVIEW_NAME in self.manifest.file_digests:
-            yield from _listed_rows(self.root, REVIEW_NAME, self.digests,
-                                    _json_object)
+            yield from self._rows(REVIEW_NAME, dict)
 
 
 @dataclass(frozen=True)

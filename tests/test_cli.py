@@ -322,17 +322,43 @@ def test_evaluate_rejects_repeated_qa_id(built, tmp_path, capsys):
     rc = main(["evaluate", "--dataset", str(out), "--predictions", str(preds),
                "--out", str(tmp_path / "outcomes.jsonl")])
     assert rc == 1
-    assert f"{preds}:3: repeats qa_id {qa_id!r}" in capsys.readouterr().err
+    assert (f"{preds}:3: malformed (ValueError: repeats qa_id {qa_id!r})"
+            in capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("command", ["evaluate", "report", "label"])
-@pytest.mark.parametrize("bad_line", [b'{"qa_id": ', b'["qa_id", "x"]',
-                                      b'{"qa_id": "\xff"}'])
+_OUTCOME = {"family": "extract", "qa_id": "q1", "metric": "anls",
+            "score": 0.0, "passed": False, "pred": "a", "gold": "b"}
+_PAIR = {"qa_id": "q1", "answer_a": "1", "answer_b": "1"}
+
+
+def _line(row: dict, **fields) -> bytes:
+    return json.dumps({**row, **fields}).encode("utf-8")
+
+
+@pytest.mark.parametrize("bad_line, command", [
+    *((bad_line, command)
+      for bad_line in (b'{"qa_id": ', b'["qa_id", "x"]', b'{"qa_id": "\xff"}')
+      for command in ("evaluate", "report", "label")),
+    (_line({"prediction": "1"}, qa_id=None), "evaluate"),
+    (_line(_OUTCOME, score="x"), "report"),
+    (_line(_OUTCOME, score=True), "report"),
+    (_line(_OUTCOME, score=float("nan")), "report"),
+    (_line(_OUTCOME, violations=5), "report"),
+    (_line(_OUTCOME, family="nosuch"), "report"),
+    (_line(_OUTCOME) + b"\n" + _line(_OUTCOME), "report"),
+    (_line(_PAIR, answer_a=1), "label"),
+    (_line(_PAIR, answer_b=[1]), "label"),
+    (_line(_PAIR, answer_type=7), "label"),
+    (_line(_PAIR) + b"\n" + _line(_PAIR), "label"),
+])
 def test_malformed_jsonl_line_exits_1(built, tmp_path, capsys, command,
                                       bad_line):
+    """The last line of the input is the bad one, or repeats the line
+    before it; the error names it."""
     out, _ = built
     bad = tmp_path / "input.jsonl"
     bad.write_bytes(b"\n" + bad_line + b"\n")
+    last = 2 + bad_line.count(b"\n")
     argv = {
         "evaluate": ["evaluate", "--dataset", str(out), "--predictions",
                      str(bad), "--out", str(tmp_path / "o.jsonl")],
@@ -343,7 +369,7 @@ def test_malformed_jsonl_line_exits_1(built, tmp_path, capsys, command,
     }[command]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {bad}:")
+    assert err.startswith(f"error: {bad}:{last}: ")
     assert err.count("\n") == 1
 
 
@@ -394,7 +420,7 @@ def test_line_numbers_count_past_unicode_line_separators(
     }[command]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith(
-        f"error: {bad}:2: not valid JSON")
+        f"error: {bad}:2: malformed (JSONDecodeError: ")
 
 
 def test_read_predictions_never_holds_the_whole_file(tmp_path):
@@ -516,8 +542,8 @@ def test_evaluate_rejects_a_prediction_that_is_not_text(built, tmp_path,
     assert main(["evaluate", "--dataset", str(out), "--predictions",
                  str(preds), "--out", str(outcomes)]) == 1
     assert capsys.readouterr().err == (
-        f"error: {preds}:2: prediction must be a string or a number, "
-        f"not {kind}\n")
+        f"error: {preds}:2: malformed (ValueError: prediction must be a "
+        f"string or a number, not {kind})\n")
     assert not outcomes.exists()
 
 
@@ -780,12 +806,18 @@ def test_usage_errors_exit_1():
         with pytest.raises(SystemExit) as exc:
             main(["gen-charts", "--charts", "2", *flags, "--out", "x"])
         assert exc.value.code == 1
+    # --charts is required and, like --per-chart, a positive integer
+    for argv in (["gen-charts"], ["build-dataset"],
+                 ["gen-charts", "--charts", "0"],
+                 ["build-dataset", "--charts", "x"],
+                 ["build-dataset", "--charts", "1", "--per-chart", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", "x"])
+        assert exc.value.code == 1
 
 
 def test_validation_errors_return_1(tmp_path, capsys):
     out = str(tmp_path / "ds")
-    assert main(["build-dataset", "--out", out]) == 1  # --charts missing
-    assert main(["gen-charts", "--out", out]) == 1
     assert main(["build-dataset", "--charts", "2", "--holdout", "1.0",
                  "--out", out]) == 1
     assert main(["build-dataset", "--charts", "2", "--mode", "llm",
