@@ -449,5 +449,4 @@ def dumps_chart(spec: ChartSpec) -> str:
 
 
 def loads_chart(text: str) -> ChartSpec:
-    d = json.loads(text, parse_float=Decimal)
-    return chart_from_dict(d)
+    return require_valid(chart_from_dict(json.loads(text, parse_float=Decimal)))

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .charts import loads_chart, sample_chart_spec
+from .charts import sample_chart_spec
 from .errors import (
     ConfigError,
     InvariantError,
@@ -48,7 +48,6 @@ from .metrics import (
 )
 from .qagen import (
     DEFAULT_FAMILY_WEIGHTS,
-    FAMILY_NAMES,
     GenConfig,
     QAItem,
     _normalize_question,
@@ -57,7 +56,7 @@ from .qagen import (
 )
 from .queries import ANSWER_TYPES, FAMILIES
 from .reasoning import load_lexicon
-from .render import loads_geom, render_chart
+from .render import render_chart
 from .store import (
     CHART_DIR,
     AtomicFile,
@@ -67,6 +66,7 @@ from .store import (
     _parse,
     load_dataset,  # not called here: perfbench/tracer.py wraps cli.load_dataset
     make_dir,
+    read_chart_file,
     read_jsonl,
     split_holdout,
     write_chart_files,
@@ -95,19 +95,16 @@ def _positive_int(text: str) -> int:
 
 def _parse_weights(text: str) -> tuple[tuple[str, float], ...]:
     parts = text.split(",")
-    if len(parts) != len(FAMILY_NAMES):
+    if len(parts) != len(FAMILIES):
         raise ConfigError(
-            f"--weights needs {len(FAMILY_NAMES)} comma-separated numbers "
-            f"({', '.join(FAMILY_NAMES)}), got {len(parts)}")
+            f"--weights needs {len(FAMILIES)} comma-separated numbers "
+            f"({', '.join(FAMILIES)}), got {len(parts)}")
     try:
-        values = [float(p) for p in parts]
+        weights = tuple(zip(FAMILIES, map(float, parts)))
     except ValueError as exc:
         raise ConfigError(f"--weights: {exc}")
-    if any(v < 0 for v in values):
-        raise ConfigError("--weights values must be non-negative")
-    if sum(values) <= 0:
-        raise ConfigError("--weights must sum to a positive value")
-    return tuple(zip(FAMILY_NAMES, values))
+    GenConfig(family_weights=weights).validate()
+    return weights
 
 
 def _config_dict(args) -> dict:
@@ -118,7 +115,7 @@ def _config_dict(args) -> dict:
         "seed": args.seed,
         "charts": args.charts,
         "per_chart": args.per_chart,
-        "weights": {k: weights[k] for k in FAMILY_NAMES},
+        "weights": {k: weights[k] for k in FAMILIES},
         "holdout": args.holdout,
         "mode": args.mode,
         "model": args.model,
@@ -207,24 +204,30 @@ def cmd_gen_charts(args) -> int:
     return 0
 
 
-def _read_specs(chart_dir: Path) -> list:
-    """The chart specs under chart_dir, in file name order; each must
-    have its SVG and geometry file beside it."""
+def _read_specs(out: Path) -> list:
+    """The chart specs under out's chart directory, in file name order;
+    each must have its SVG and geometry file beside it, and nothing else
+    may sit there, as the dataset's manifest would not list it."""
+    chart_dir = out / CHART_DIR
     if not chart_dir.is_dir():
-        raise ConfigError(f"no charts/ directory under {chart_dir.parent}; "
+        raise ConfigError(f"no charts/ directory under {out}; "
                           f"run gen-charts first")
-    specs = []
-    for path in sorted(chart_dir.glob("*.json")):
-        if path.name.endswith(".geom.json"):
-            continue
-        spec = _parse(loads_chart, path.read_bytes(), path)
+    names = sorted(path.name for path in chart_dir.iterdir())
+    specs = [read_chart_file(out, f"{CHART_DIR}/{name}") for name in names
+             if name.endswith(".json") and not name.endswith(".geom.json")]
+    if not specs:
+        raise ConfigError(f"no chart files under {chart_dir}")
+    staged = {f"{spec.chart_id}{ext}" for spec in specs
+              for ext in (".json", ".svg", ".geom.json")}
+    stray = [name for name in names if name not in staged]
+    if stray:
+        raise ConfigError(f"{chart_dir / stray[0]}: not the spec, svg or "
+                          f"geometry file of a staged chart")
+    for spec in specs:
         for ext in (".svg", ".geom.json"):
             if not (chart_dir / f"{spec.chart_id}{ext}").is_file():
                 raise ConfigError(f"chart {spec.chart_id} is missing its "
                                   f"svg or geometry file")
-        specs.append(spec)
-    if not specs:
-        raise ConfigError(f"no chart files under {chart_dir}")
     return specs
 
 
@@ -238,15 +241,13 @@ def cmd_build_dataset(args) -> int:
     _validate_gen_args(args)
     out = Path(args.out)
     if args.command == "gen-qa":
-        chart_dir = out / CHART_DIR
-        specs = _read_specs(chart_dir)
+        specs = _read_specs(out)
         args.charts = len(specs)
 
         def draw(spec):  # the SVG and geometry stored beside the spec
-            svg_path = chart_dir / f"{spec.chart_id}.svg"
-            geom_path = chart_dir / f"{spec.chart_id}.geom.json"
+            svg_path = out / CHART_DIR / f"{spec.chart_id}.svg"
             return (_parse(str, svg_path.read_bytes(), svg_path),
-                    _parse(loads_geom, geom_path.read_bytes(), geom_path))
+                    read_chart_file(out, f"{CHART_DIR}/{spec.chart_id}.geom.json"))
     else:
         specs = [_sample_spec(args.seed, i) for i in range(args.charts)]
         draw = render_chart
@@ -278,7 +279,7 @@ def cmd_build_dataset(args) -> int:
             family_weights=args.weights or DEFAULT_FAMILY_WEIGHTS,
             seed=args.seed)
         # the planner's running family counts, carried from chart to chart
-        planned = {f: 0 for f in FAMILY_NAMES}
+        planned = {f: 0 for f in FAMILIES}
 
         def items_of(spec, geom):
             nonlocal shortfall
@@ -301,7 +302,7 @@ def cmd_build_dataset(args) -> int:
         print(f"note: {shortfall} requested items exceeded "
               f"chart capacity", file=sys.stderr)
     _write_run_record(out, args.command, config, args.endpoint)
-    summary = " ".join(f"{fam}={manifest.counts[fam]}" for fam in FAMILY_NAMES)
+    summary = " ".join(f"{fam}={manifest.counts[fam]}" for fam in FAMILIES)
     print(f"dataset {manifest.dataset_id}: {summary} "
           f"(train={manifest.train_size} test={manifest.test_size})")
     return 0
@@ -417,12 +418,12 @@ def _build_llm_items(charts, args):
                    question_request(family, svg, model, args.per_chart),
                    generate_questions_llm, gateway, spec, svg, geom, family,
                    model=model, n_questions=args.per_chart)
-            for spec, svg, geom in charts for family in FAMILY_NAMES])
+            for spec, svg, geom in charts for family in FAMILIES])
         chains: list[Future] = []
         for spec, svg, geom in charts:
             per_family: dict[str, int] = {}
             taken: set[str] = set()
-            for family in FAMILY_NAMES:
+            for family in FAMILIES:
                 try:
                     accepted, rejected = next(asked).result()
                 except PerceptQAError as exc:

@@ -35,7 +35,7 @@ from .errors import (
     TransportError,
 )
 from .qagen import label_pattern
-from .reasoning import validate_trace_text
+from .reasoning import _ORDINALS, _fold, validate_trace_text
 from .render import GeometryMap
 from .store import _atomic_write
 
@@ -387,15 +387,10 @@ _CANDIDATE_RE = re.compile(
     r'"type"\s*:\s*"([^"]+)"\s*,\s*"question"\s*:\s*"([^"]+)"')
 
 _POSITION_REF_RE = re.compile(
-    r"\b(first|second|third|fourth|fifth|sixth|seventh|eighth|ninth|tenth"
+    rf"\b({'|'.join(_ORDINALS)}"
     r"|\d+(?:st|nd|rd|th)) (?:\w+ )?from the (top|bottom|left|right)\b",
     re.IGNORECASE,
 )
-
-_ORDINAL_VALUES = {
-    "first": 1, "second": 2, "third": 3, "fourth": 4, "fifth": 5,
-    "sixth": 6, "seventh": 7, "eighth": 8, "ninth": 9, "tenth": 10,
-}
 
 
 @dataclass(frozen=True)
@@ -408,9 +403,9 @@ class QuestionCandidate:
 
 
 def _ordinal_rank(token: str) -> int:
-    token = token.lower()
-    if token in _ORDINAL_VALUES:
-        return _ORDINAL_VALUES[token]
+    token = _fold(token)  # as the pattern matched it, "ſecond" included
+    if token in _ORDINALS:
+        return _ORDINALS.index(token) + 1
     return int(re.sub(r"\D", "", token))
 
 

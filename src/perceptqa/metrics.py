@@ -17,7 +17,7 @@ from decimal import Decimal, InvalidOperation, ROUND_HALF_UP
 from .errors import ConfigError
 from .numformat import canon_number
 from .qagen import QAItem
-from .reasoning import validate_trace_text
+from .reasoning import _FINAL_RE, validate_trace_text
 
 ANLS_THRESHOLD = Decimal("0.5")
 RELAXED_TOLERANCE = Decimal("0.05")
@@ -244,7 +244,6 @@ _FINAL_TOKEN_OPT = re.compile(r"(?<![A-Za-z])\(?([A-D])\)?(?![A-Za-z])")
 _FINAL_TOKEN_BOOL = re.compile(r"\b(true|false|yes|no)\b", re.IGNORECASE)
 # the last numbered solution line of a trace that failed validation
 _SOLUTION_LINE = re.compile(r"^\s*\d+\)\s*(.*)$")
-_FINAL_PREFIX = re.compile(r"^final answer:\s*", re.IGNORECASE)
 
 
 def extract_answer_token(line: str, answer_type: str) -> str:
@@ -278,7 +277,7 @@ def _final_from_trace_text(text: str, answer_type: str) -> tuple[str, tuple[str,
             break
     else:
         candidate = next((line for line in reversed(lines) if line.strip()), "")
-    candidate = _FINAL_PREFIX.sub("", candidate.strip())
+    candidate = _FINAL_RE.sub("", candidate.strip())
     return extract_answer_token(candidate, answer_type), codes
 
 

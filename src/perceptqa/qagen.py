@@ -23,6 +23,7 @@ leaked into the question text, no duplicate question on the chart).
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 import re
 import sys
@@ -41,6 +42,7 @@ from .queries import (
     ByPosition,
     ByVisual,
     Extract,
+    FAMILIES,
     Node,
     Op,
     QuerySpec,
@@ -62,8 +64,6 @@ from .reasoning import (
 )
 from .render import (COLUMN_DIRECTIONS, ROW_DIRECTIONS, GeometryMap,
                      positional_rank)
-
-FAMILY_NAMES = ("position", "length", "pattern", "extract")
 
 # share of each family in a default dataset
 DEFAULT_FAMILY_WEIGHTS: tuple[tuple[str, float], ...] = (
@@ -844,12 +844,12 @@ class GenConfig:
         if self.per_chart < 1:
             raise ConfigError("per_chart must be at least 1")
         for family, _ in self.family_weights:
-            if family not in FAMILY_NAMES:
+            if family not in FAMILIES:
                 raise ConfigError(f"unknown family in weights: {family!r}")
         weights = [w for _, w in self.family_weights]
-        if any(w < 0 for w in weights) or not any(w > 0 for w in weights):
-            raise ConfigError(
-                "family weights must be non-negative with at least one positive")
+        if not all(0 <= w < math.inf for w in weights) or not any(weights):
+            raise ConfigError("family weights must be finite and "
+                              "non-negative with at least one positive")
 
 
 def stable_seed(*parts) -> int:
@@ -883,13 +883,13 @@ def generate_items(
     charts = sorted(charts, key=lambda pair: pair[0].chart_id)
     weights = dict(config.family_weights)
     if counts is None:
-        counts = {f: 0 for f in FAMILY_NAMES}
+        counts = {f: 0 for f in FAMILIES}
     total = sum(counts.values())
     items: list[QAItem] = []
     shortfall = 0
 
     for spec, geom in charts:
-        pools = {f: FAMILY_CANDIDATES[f](spec, geom) for f in FAMILY_NAMES}
+        pools = {f: FAMILY_CANDIDATES[f](spec, geom) for f in FAMILIES}
         caps = {f: len(pool) for f, pool in pools.items() if pool}
         plan = {f: 0 for f in caps}
         for _ in range(config.per_chart):
@@ -906,7 +906,7 @@ def generate_items(
             total += 1
 
         taken: set[str] = set()
-        for family in FAMILY_NAMES:
+        for family in FAMILIES:
             want = plan.get(family, 0)
             if not want:
                 continue

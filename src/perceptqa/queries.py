@@ -144,7 +144,6 @@ def resolve_cells(
     selector: Selector, spec: ChartSpec, geom: GeometryMap | None
 ) -> tuple[Cell, ...]:
     table = spec.table
-    n_series = len(table.series)
 
     if isinstance(selector, ByName):
         if selector.series is not None:
@@ -197,12 +196,7 @@ def resolve_cells(
         return _row_cells(table, ordered[selector.position - 1].series)
 
     if isinstance(selector, ByExtreme):
-        cells = [
-            _cell_at(table, i, j, combined_label=n_series > 1)
-            for i in range(n_series)
-            for j in range(len(table.categories))
-        ]
-        return (_rank_pick(tuple(cells), selector.k,
+        return (_rank_pick(all_cells(table), selector.k,
                            "desc" if selector.mode == "max" else "asc"),)
 
     raise QueryError(f"unknown selector {selector!r}")
@@ -225,6 +219,15 @@ def _cell_at(table, si: int, cj: int, combined_label: bool = False) -> Cell:
         value=table.values[si][cj],
         label=label,
     )
+
+
+def all_cells(table) -> tuple[Cell, ...]:
+    """Every cell, series by series; on a multi-series chart each is
+    labelled "series, category"."""
+    combined = len(table.series) > 1
+    return tuple(_cell_at(table, i, j, combined)
+                 for i in range(len(table.series))
+                 for j in range(len(table.categories)))
 
 
 def _row_cells(table, si: int) -> tuple[Cell, ...]:

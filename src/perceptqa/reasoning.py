@@ -34,6 +34,8 @@ from .queries import (
     Node,
     Op,
     QuerySpec,
+    _scalar,
+    all_cells,
     evaluate,
     render_answer,
 )
@@ -356,8 +358,8 @@ def _refs(indices: list[int]) -> str:
     return f"questions {listed}, and {uniq[-1]}"
 
 
-def _num(value: Decimal) -> str:
-    return canon_number(value)
+def _listing(cells) -> str:
+    return ", ".join(f"{canon_number(c.value)} for {c.label}" for c in cells)
 
 
 class _TraceBuilder:
@@ -402,18 +404,12 @@ class _TraceBuilder:
             self.prepare_leaves(child)
 
     def _emit_leaf(self, sel) -> int:
-        spec = self.spec
-        multi = len(spec.table.series) > 1
+        multi = len(self.spec.table.series) > 1
 
         if isinstance(sel, ByExtreme):
-            cells = [
-                c for s in spec.table.series
-                for c in self.value(Extract(ByName(series=s.name)))
-            ]
             q = ("What values do all series show across the categories?"
                  if multi else "What values are shown across the categories?")
-            listed = ", ".join(
-                f"{_num(c.value)} for {self._cell_tag(c, multi)}" for c in cells)
+            listed = _listing(all_cells(self.spec.table))
             return self._add("perception", q, f"The chart shows {listed}.")
 
         cells = self.value(Extract(sel))
@@ -423,20 +419,20 @@ class _TraceBuilder:
                 if multi:
                     q = f"What value is shown for {sel.category} in the {sel.series} series?"
                     a = (f"The value for {sel.category} in the {sel.series} "
-                         f"series is {_num(c.value)}.")
+                         f"series is {canon_number(c.value)}.")
                 else:
                     q = f"What value is shown for {sel.category}?"
-                    a = f"The value for {sel.category} is {_num(c.value)}."
+                    a = f"The value for {sel.category} is {canon_number(c.value)}."
                 return self._add("perception", q, a)
             if sel.series is not None:
                 if multi:
                     q = f"What values does the {sel.series} series show across the categories?"
                 else:
                     q = "What values are shown across the categories?"
-                return self._add("perception", q, self._row_answer(cells))
+                return self._add("perception", q, f"The values are {_listing(cells)}.")
             q = f"What values are shown for {sel.category} across the series?"
-            listed = ", ".join(f"{_num(c.value)} for {c.series}" for c in cells)
-            return self._add("perception", q, f"For {sel.category}, the chart shows {listed}.")
+            a = f"For {sel.category}, the chart shows {_listing(cells)}."
+            return self._add("perception", q, a)
 
         if isinstance(sel, ByPosition):
             noun = "bar" if sel.axis == "row" else "category"
@@ -446,11 +442,10 @@ class _TraceBuilder:
             label = cells[0].category
             if len(cells) == 1:
                 a = (f"The {_ordinal(sel.rank)} {noun} from the {side} is "
-                     f"{label}, with a value of {_num(cells[0].value)}.")
+                     f"{label}, with a value of {canon_number(cells[0].value)}.")
             else:
-                listed = ", ".join(f"{_num(c.value)} for {c.series}" for c in cells)
                 a = (f"The {_ordinal(sel.rank)} {noun} from the {side} is "
-                     f"{label}, showing {listed}.")
+                     f"{label}, showing {_listing(cells)}.")
             return self._add("perception", q, a)
 
         if isinstance(sel, ByVisual):
@@ -461,21 +456,14 @@ class _TraceBuilder:
             else:
                 desc = f"with the {sel.pattern} fill"
             q = f"What values does the series {desc} show across the categories?"
-            return self._add("perception", q, self._row_answer(cells, "That series shows"))
+            return self._add("perception", q, f"That series shows {_listing(cells)}.")
 
         if isinstance(sel, ByLegend):
             q = (f"What values does the {_ordinal(sel.position)} series in the "
                  f"legend show across the categories?")
-            return self._add("perception", q, self._row_answer(cells, "It shows"))
+            return self._add("perception", q, f"It shows {_listing(cells)}.")
 
         raise InvariantError(f"no leaf template for selector {sel!r}")
-
-    def _row_answer(self, cells, opener: str = "The values are") -> str:
-        listed = ", ".join(f"{_num(c.value)} for {c.category}" for c in cells)
-        return f"{opener} {listed}."
-
-    def _cell_tag(self, cell, multi: bool) -> str:
-        return f"{cell.series}, {cell.category}" if multi else cell.category
 
     # -- logic nodes ---------------------------------------------------------
 
@@ -492,13 +480,11 @@ class _TraceBuilder:
             return self.pick_refs[sel]
         enum_ref = self.leaf_refs["__ALL__"]
         word = "highest" if sel.mode == "max" else "lowest"
-        if sel.k == 1:
-            q = f"Which of the values from question {enum_ref} is the {word}?"
-        else:
-            q = (f"Which of the values from question {enum_ref} is the "
-                 f"{_ordinal(sel.k)} {word}?")
+        if sel.k > 1:
+            word = f"{_ordinal(sel.k)} {word}"
+        q = f"Which of the values from question {enum_ref} is the {word}?"
         cell = self.value(Extract(sel))[0]
-        a = f"The {word} of those is {_num(cell.value)}, for {cell.label}."
+        a = f"The {word} of those is {canon_number(cell.value)}, for {cell.label}."
         ref = self._add("logic", q, a, deps=(enum_ref,))
         self.pick_refs[sel] = ref
         return ref
@@ -513,7 +499,7 @@ class _TraceBuilder:
         if kind in ("Sum", "Mean", "Median"):
             noun = {"Sum": "combined total", "Mean": "average", "Median": "median"}[kind]
             q = f"What is the {noun} of the values from {refs}?"
-            a = f"The {noun} is {_num(result)}."
+            a = f"The {noun} is {canon_number(result)}."
             return self._add("logic", q, a, deps)
 
         if kind in ("Diff", "AbsDiff"):
@@ -521,27 +507,27 @@ class _TraceBuilder:
             word = "absolute difference" if kind == "AbsDiff" else "difference"
             q = (f"What is the {word} between the answer to question {i} "
                  f"and the answer to question {j}?")
-            return self._add("logic", q, f"The {word} is {_num(result)}.", deps)
+            return self._add("logic", q, f"The {word} is {canon_number(result)}.", deps)
 
         if kind == "Quotient":
             i, j = idxs
             q = (f"What is the answer to question {i} divided by the answer "
                  f"to question {j}?")
-            return self._add("logic", q, f"The result is {_num(result)}.", deps)
+            return self._add("logic", q, f"The result is {canon_number(result)}.", deps)
 
         if kind == "Ratio":
             i, j = idxs
             q = (f"How many times larger is the answer to question {i} than "
                  f"the answer to question {j}?")
-            return self._add("logic", q, f"It is {_num(result)} times as large.", deps)
+            a = f"It is {canon_number(result)} times as large."
+            return self._add("logic", q, a, deps)
 
         if kind == "Threshold":
             relword = _REL_WORDS[op.relation]
-            bound = _num(op.value)
+            bound = canon_number(op.value)
             q = f"Which of the values from {refs} are {relword} {bound}?"
             if result:
-                listed = ", ".join(f"{_num(c.value)} for {c.label}" for c in result)
-                a = f"The values {relword} {bound} are {listed}."
+                a = f"The values {relword} {bound} are {_listing(result)}."
             else:
                 a = f"None of the values are {relword} {bound}."
             return self._add("logic", q, a, deps)
@@ -557,7 +543,7 @@ class _TraceBuilder:
             q = (f"Which of the values from {refs} is the "
                  f"{_ordinal(op.k)} {word}?")
             cell = result[0]
-            a = (f"The {_ordinal(op.k)} {word} is {_num(cell.value)}, "
+            a = (f"The {_ordinal(op.k)} {word} is {canon_number(cell.value)}, "
                  f"for {cell.label}.")
             return self._add("logic", q, a, deps)
 
@@ -565,7 +551,7 @@ class _TraceBuilder:
             word = "highest" if op.mode == "max" else "lowest"
             q = f"Which of the values from {refs} is the {word}?"
             cell = result[0]
-            a = f"The {word} is {_num(cell.value)}, for {cell.label}."
+            a = f"The {word} is {canon_number(cell.value)}, for {cell.label}."
             return self._add("logic", q, a, deps)
 
         if kind == "Compare":
@@ -573,14 +559,12 @@ class _TraceBuilder:
             relword = _CMP_WORDS[op.relation]
             q = (f"Is the answer to question {i} {relword} the answer to "
                  f"question {j}?")
-            a_val = self.value(op.children[0])
-            b_val = self.value(op.children[1])
-            a_num = a_val[0].value if isinstance(a_val, tuple) else a_val
-            b_num = b_val[0].value if isinstance(b_val, tuple) else b_val
+            a_num = canon_number(_scalar(self.value(op.children[0])))
+            b_num = canon_number(_scalar(self.value(op.children[1])))
             if result:
-                a = f"Yes, {_num(a_num)} is {relword} {_num(b_num)}."
+                a = f"Yes, {a_num} is {relword} {b_num}."
             else:
-                a = f"No, {_num(a_num)} is not {relword} {_num(b_num)}."
+                a = f"No, {a_num} is not {relword} {b_num}."
             return self._add("logic", q, a, deps)
 
         if kind == "RateOfChange":
@@ -598,9 +582,9 @@ class _TraceBuilder:
             total = sum((c.value for child in op.children
                          for c in self.value(child)), Decimal(0))
             target = divide(total, Decimal(4))
-            a = (f"One quarter of the combined total {_num(total)} is "
-                 f"{_num(target)}; the closest value is {_num(cell.value)}, "
-                 f"for {cell.label}.")
+            a = (f"One quarter of the combined total {canon_number(total)} is "
+                 f"{canon_number(target)}; the closest value is "
+                 f"{canon_number(cell.value)}, for {cell.label}.")
             return self._add("logic", q, a, deps)
 
         raise InvariantError(f"no trace template for op {kind!r}")

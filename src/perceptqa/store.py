@@ -26,7 +26,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from .charts import ChartSpec, dumps_chart, loads_chart
-from .errors import StoreError
+from .errors import SpecValidationError, StoreError
 from .qagen import QAItem, _normalize_question, item_from_dict, item_to_dict
 from .queries import FAMILIES
 from .render import GeometryMap, dumps_geom, loads_geom
@@ -386,10 +386,10 @@ def write_dataset(
 # loading
 
 # what parsing a malformed file or row raises: from the UTF-8 or JSON
-# decoder, from the row readers indexing into the wrong shape, or from a
-# row check refusing a field
+# decoder, from the row readers indexing into the wrong shape, from a
+# row check refusing a field, or from the chart spec check
 _MALFORMED = (ValueError, KeyError, TypeError, AttributeError, IndexError,
-              ArithmeticError)
+              ArithmeticError, SpecValidationError)
 
 
 def _open(path, buffering: int = -1):
@@ -469,9 +469,9 @@ def read_jsonl(path: Path, parse, check_digest=None):
 
 
 def _chart_file(rel: str) -> tuple[str, bool] | None:
-    """For a file the manifest lists as charts/<chart_id>.json or
-    charts/<chart_id>.geom.json, its chart id and whether it is a geometry
-    map; None for any other file (an SVG)."""
+    """For a file at charts/<chart_id>.json or charts/<chart_id>.geom.json
+    under a dataset root, its chart id and whether it is a geometry map;
+    None for any other file (an SVG)."""
     if not rel.startswith(f"{CHART_DIR}/"):
         return None
     name = rel[len(CHART_DIR) + 1:]
@@ -480,6 +480,21 @@ def _chart_file(rel: str) -> tuple[str, bool] | None:
     if name.endswith(".json"):
         return name[:-len(".json")], False
     return None
+
+
+def read_chart_file(root: Path, rel: str, digests: dict | None = None):
+    """The chart spec at root/charts/<chart_id>.json, or the geometry map
+    at root/charts/<chart_id>.geom.json, checked to carry <chart_id> and,
+    when digests is given, against its digest.  A spec must also pass
+    the chart spec check."""
+    chart_id, is_geom = _chart_file(rel)
+    path = root / rel
+    chart = _parse(loads_geom if is_geom else loads_chart,
+                   _read_listed(root, rel, digests), path)
+    if chart.chart_id != chart_id:
+        raise StoreError(
+            f"{path}: chart_id {chart.chart_id!r} does not match its file name")
+    return chart
 
 
 class DatasetReader:
@@ -542,17 +557,8 @@ class DatasetReader:
         (an SVG) is read only to check its digest."""
         root, digests = self.root, self.digests
         for rel in self._other_files:
-            chart_file = _chart_file(rel)
-            if chart_file is not None:
-                chart_id, is_geom = chart_file
-                path = root / rel
-                chart = _parse(loads_geom if is_geom else loads_chart,
-                               _read_listed(root, rel, digests), path)
-                if chart.chart_id != chart_id:
-                    raise StoreError(
-                        f"{path}: chart_id {chart.chart_id!r} does not "
-                        f"match its file name")
-                yield chart
+            if _chart_file(rel) is not None:
+                yield read_chart_file(root, rel, digests)
             elif digests is not None:
                 _read_listed(root, rel, digests)
 

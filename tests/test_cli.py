@@ -151,17 +151,45 @@ def test_gen_qa_requires_staged_charts(tmp_path, capsys):
     assert "gen-charts first" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("victim", [".json", ".geom.json"])
-def test_gen_qa_rejects_a_malformed_chart_file(tmp_path, capsys, victim):
+def _short_first_row(spec):
+    values = spec.table.values
+    return replace(spec, table=replace(
+        spec.table, values=(values[0][:-1], *values[1:])))
+
+
+@pytest.mark.parametrize("victim, damage, problem", [
+    pytest.param(".json", '["x"]', "malformed", id=".json"),
+    pytest.param(".geom.json", '["x"]', "malformed", id=".geom.json"),
+    pytest.param(".json", _short_first_row,
+                 "malformed (SpecValidationError: chart spec invalid: "
+                 "values: row 0 has", id="short-row"),
+    pytest.param(".json", lambda spec: replace(spec, kind="donut"),
+                 "malformed (SpecValidationError: chart spec invalid: "
+                 "kind: unknown kind 'donut')", id="unknown-kind"),
+    pytest.param(".json", "renamed.json", "chart_id", id="renamed"),
+    pytest.param(".geom.json", "renamed.geom.json", "not the spec, svg or "
+                 "geometry file of a staged chart", id="stray"),
+])
+def test_gen_qa_rejects_a_malformed_chart_file(tmp_path, capsys, victim,
+                                               damage, problem):
+    """damage is the text written over the file, a new name for it, or a
+    change to the spec it holds."""
     out = tmp_path / "staged"
     assert main(["gen-charts", "--seed", "1", "--charts", "2",
                  "--out", str(out)]) == 0
-    path = sorted((out / "charts").glob(f"*{victim}"))[0]
-    path.write_text('["x"]', "utf-8")
+    first = sorted((out / "charts").glob("*.svg"))[0].stem
+    path = out / "charts" / f"{first}{victim}"
+    if damage in ("renamed.json", "renamed.geom.json"):
+        path = path.rename(path.with_name(damage))
+    elif isinstance(damage, str):
+        path.write_text(damage, "utf-8")
+    else:
+        path.write_text(dumps_chart(damage(loads_chart(
+            path.read_text("utf-8")))), "utf-8")
     capsys.readouterr()
     assert main(["gen-qa", "--seed", "1", "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}: malformed")
+    assert err.startswith(f"error: {path}: {problem}")
     assert err.count("\n") == 1
 
 
@@ -827,6 +855,14 @@ def test_validation_errors_return_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "requires --endpoint" in err
     assert "--weights needs 4" in err
+    # every weight must be finite
+    for weights in ("nan,1,1,1", "inf,1,1,1", "1e309,0,0,0"):
+        assert main(["build-dataset", "--charts", "2", "--weights", weights,
+                     "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: family weights must be finite"), err
+        assert err.count("\n") == 1
+    assert not Path(out).exists()
 
 
 def test_transport_failure_returns_2(tmp_path, capsys):

@@ -7,11 +7,13 @@ import sys
 import threading
 import time
 from dataclasses import replace
+from decimal import Decimal
 from types import SimpleNamespace
 
 import pytest
 
 import perceptqa.gateway as gw
+from perceptqa.charts import ChartSpec, DataTable, SeriesDescriptor, require_valid
 from perceptqa.errors import (
     BudgetError,
     CapacityError,
@@ -33,7 +35,7 @@ from perceptqa.gateway import (
     verify_templates,
 )
 from perceptqa.qagen import GenConfig, generate_items
-from perceptqa.reasoning import format_trace
+from perceptqa.reasoning import _ORDINALS, format_trace
 from perceptqa.render import render_chart
 
 from support import chart_pool
@@ -479,6 +481,40 @@ def test_check_resolvable_grounding_rules(seats_chart, usage_chart,
     assert ok("Which legend entry peaks last?", line_spec, line_geom) is None
     assert ok("What was the value for Women in 2014?",
               line_spec, line_geom) is None
+
+
+def _bars(n: int):
+    """A vertical bar chart drawing n bars, and its geometry."""
+    spec = require_valid(ChartSpec(
+        chart_id=f"bars-{n}",
+        kind="vertical_bar",
+        title="Bars",
+        table=DataTable(
+            categories=tuple(f"C{i}" for i in range(1, n + 1)),
+            series=(SeriesDescriptor("S", "dark teal"),),
+            values=(tuple(Decimal(i) for i in range(1, n + 1)),),
+        ),
+        axis_labels=("Cat", "Val"),
+        legend_visible=False,
+        seed=0,
+    ))
+    return spec, render_chart(spec)[1]
+
+
+@pytest.mark.parametrize("word, rank", [
+    *((word, i) for i, word in enumerate(_ORDINALS, start=1)),
+    ("11th", 11), ("3rd", 3),
+    ("\u017fecond", 2),  # the long s matches "s" under re.IGNORECASE
+])
+def test_check_resolvable_reads_every_ordinal(word, rank):
+    assert gw._ordinal_rank(word) == rank
+    question = f"Which bar is {word} from the left?"
+    for n in range(2, 13):
+        why = check_resolvable(question, *_bars(n))
+        if rank <= n:
+            assert why is None, (n, why)
+        else:
+            assert f"exceeds the {n} drawn marks" in why
 
 
 # ---------------------------------------------------------------------------

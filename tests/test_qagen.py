@@ -8,7 +8,6 @@ from perceptqa.errors import ConfigError, TemplateError
 from perceptqa.qagen import (
     DEFAULT_FAMILY_WEIGHTS,
     FAMILY_CANDIDATES,
-    FAMILY_NAMES,
     GenConfig,
     _leaks,
     generate_items,
@@ -24,6 +23,7 @@ from perceptqa.queries import (
     ByVisual,
     iter_nodes,
     Extract,
+    FAMILIES,
     leaf_selectors,
     Op,
     oracle_eval,
@@ -78,7 +78,7 @@ def test_questions_unique_per_chart(batch):
 def test_every_family_appears(batch):
     _, items, _ = batch
     families = {i.family for i in items}
-    assert families == set(FAMILY_NAMES)
+    assert families == set(FAMILIES)
 
 
 def test_plain_answers_match_oracle(batch):
@@ -219,7 +219,7 @@ def test_pie_charts_get_only_extract_items():
     pie = next(sample_chart_spec(s) for s in range(400)
                if sample_chart_spec(s).kind == "pie")
     _, geom = render_chart(pie)
-    weights = tuple((f, 1.0) for f in FAMILY_NAMES)
+    weights = tuple((f, 1.0) for f in FAMILIES)
     items, _ = generate_items(
         [(pie, geom)], GenConfig(per_chart=8, family_weights=weights, seed=0))
     assert items
@@ -245,11 +245,15 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         GenConfig(per_chart=4, family_weights=(("sizes", 1.0),),
                   seed=0).validate()
+    with pytest.raises(ConfigError):
+        GenConfig(per_chart=4, family_weights=(("position", float("nan")),
+                                                ("extract", 1.0)),
+                  seed=0).validate()
 
 
 def test_default_weights_pin_the_reference_mix():
     weights = dict(DEFAULT_FAMILY_WEIGHTS)
-    assert [f for f, _ in DEFAULT_FAMILY_WEIGHTS] == list(FAMILY_NAMES)
+    assert [f for f, _ in DEFAULT_FAMILY_WEIGHTS] == list(FAMILIES)
     assert abs(weights["position"] - 66617 / 331969) < 1e-12
     assert abs(weights["length"] - 31614 / 331969) < 1e-12
     assert abs(weights["pattern"] - 61268 / 331969) < 1e-12
@@ -272,7 +276,7 @@ def one_chart_per_kind():
 
 def test_candidate_spaces_are_sized_without_building(one_chart_per_kind):
     for kind, (spec, geom) in one_chart_per_kind.items():
-        for family in FAMILY_NAMES:
+        for family in FAMILIES:
             space = FAMILY_CANDIDATES[family](spec, geom)
             built = [space[i] for i in range(len(space))]
             assert len(set(built)) == len(space), (kind, family)
@@ -317,7 +321,7 @@ def test_text_leak_handles_punctuation_and_case():
 def test_every_candidate_phrases_cleanly(one_chart_per_kind):
     realized = 0
     for kind, (spec, geom) in one_chart_per_kind.items():
-        for family in FAMILY_NAMES:
+        for family in FAMILIES:
             space = FAMILY_CANDIDATES[family](spec, geom)
             for i in range(len(space)):
                 cand = space[i]

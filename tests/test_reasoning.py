@@ -6,7 +6,13 @@ from decimal import Decimal
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from perceptqa.charts import ChartSpec, DataTable, SeriesDescriptor, require_valid
+from perceptqa.charts import (
+    ChartSpec,
+    DataTable,
+    SeriesDescriptor,
+    require_valid,
+    sample_chart_spec,
+)
 from perceptqa.errors import InvariantError, TraceFormatError
 from perceptqa import reasoning
 from perceptqa.queries import (
@@ -437,3 +443,50 @@ def test_pinned_charts_build_clean_traces(pinned_charts):
         parsed, violations = validate_trace_text(text)
         assert violations == []
         assert parsed.final == want
+
+
+_LIST_1 = ("38.8 for 2013, 80.7 for 2014, 21.4 for 2015, 9.6 for 2016, "
+           "49.9 for 2017, 2.9 for 2018, 91.4 for 2019")
+_LIST_2 = ("7.1 for Seniors, Americas, 24.6 for Seniors, Africa, 9.2 for "
+           "Seniors, Balkans, 56.4 for Seniors, Levant, 43.4 for Seniors, "
+           "Iberia, 6 for Seniors, Asia, 84.6 for Seniors, Oceania, 57.9 for "
+           "Seniors, Nordics, 12.6 for Seniors, Europe, 97 for Men, Americas, "
+           "22.8 for Men, Africa, 64.5 for Men, Balkans, 64.2 for Men, "
+           "Levant, 59.6 for Men, Iberia, 6.3 for Men, Asia, 59 for Men, "
+           "Oceania, 59.9 for Men, Nordics, 40.6 for Men, Europe")
+
+
+@pytest.mark.parametrize("seed, n_series, k, listing, pick, low, final", [
+    (1, 1, 1, _LIST_1, ("highest", "91.4, for 2019"), "2.9, for 2018",
+     "88.5"),
+    (1, 1, 2, _LIST_1, ("second highest", "80.7, for 2014"),
+     "2.9, for 2018", "77.8"),
+    (7, 2, 1, _LIST_2, ("highest", "97, for Men, Americas"),
+     "6, for Seniors, Asia", "91"),
+    (7, 2, 2, _LIST_2, ("second highest", "84.6, for Seniors, Oceania"),
+     "6, for Seniors, Asia", "78.6"),
+], ids=["one-series-k1", "one-series-k2", "two-series-k1", "two-series-k2"])
+def test_extreme_pick_trace_text(seed, n_series, k, listing, pick, low,
+                                 final):
+    """Diff(k-th highest, lowest) on the first sampled chart with one
+    series (seed 1) and with two (seed 7): every step, word for word."""
+    spec = sample_chart_spec(seed)
+    assert len(spec.table.series) == n_series
+    _, geom = render_chart(spec)
+    query = QuerySpec(Op("Diff", (Extract(ByExtreme("max", k)),
+                                  Extract(ByExtreme("min")))),
+                      "extract", "number")
+    trace = build_trace(query, spec, geom)
+    enumerate_q = ("What values do all series show across the categories?"
+                   if n_series > 1 else
+                   "What values are shown across the categories?")
+    word, winner = pick
+    assert [(s.question, s.answer) for s in trace.subs] == [
+        (enumerate_q, f"The chart shows {listing}."),
+        (f"Which of the values from question 1 is the {word}?",
+         f"The {word} of those is {winner}."),
+        ("Which of the values from question 1 is the lowest?",
+         f"The lowest of those is {low}."),
+        ("What is the difference between the answer to question 2 and the "
+         "answer to question 3?", f"Final answer: {final}"),
+    ]
