@@ -63,7 +63,6 @@ from .store import (
     DatasetReader,
     _atomic_write,
     _jsonl_line,
-    _parse,
     load_dataset,  # not called here: perfbench/tracer.py wraps cli.load_dataset
     make_dir,
     read_chart_file,
@@ -160,11 +159,14 @@ def _validate_gen_args(args) -> None:
             raise ConfigError("--mode llm requires --model")
 
 
-def _check_chart_ids(specs) -> None:
-    """Reject chart ids that streaming cannot write in the order the
-    family files keep.  Rows are appended chart by chart, which is qa_id
-    order unless one chart id extends another with "-" (or a character
-    sorting before it): the rows of "a-b" sort before those of "a"."""
+def _check_charts(out: Path, specs) -> None:
+    """Refuse, before anything is written, chart ids that streaming
+    cannot write in the order the family files keep, and any file under
+    out's chart directory but the spec, SVG and geometry files of specs,
+    which the dataset's manifest would not list.  Rows are appended
+    chart by chart, which is qa_id order unless one chart id extends
+    another with "-" (or a character sorting before it): the rows of
+    "a-b" sort before those of "a"."""
     ids = sorted(spec.chart_id for spec in specs)
     for a, b in zip(ids, ids[1:]):
         if a == b:
@@ -174,6 +176,15 @@ def _check_chart_ids(specs) -> None:
                 f"chart id {b!r} extends chart id {a!r} with {b[len(a)]!r}, "
                 f"so their question ids would not sort in chart order; "
                 f"rename one of them")
+    chart_dir = out / CHART_DIR
+    if chart_dir.is_dir():
+        names = {f"{chart_id}{ext}" for chart_id in ids
+                 for ext in (".json", ".svg", ".geom.json")}
+        stray = sorted(path.name for path in chart_dir.iterdir()
+                       if path.name not in names)
+        if stray:
+            raise ConfigError(f"{chart_dir / stray[0]}: not the spec, svg "
+                              f"or geometry file of a chart this run writes")
 
 
 def _with_split(charts, items_of, held):
@@ -192,12 +203,12 @@ def _with_split(charts, items_of, held):
 
 def cmd_gen_charts(args) -> int:
     out = Path(args.out)
+    specs = [_sample_spec(args.seed, i) for i in range(args.charts)]
+    _check_charts(out, specs)
     chart_dir = out / CHART_DIR
     make_dir(chart_dir)
-    for i in range(args.charts):
-        spec = _sample_spec(args.seed, i)
-        svg, geom = render_chart(spec)
-        write_chart_files(out, spec, svg, geom)
+    for spec in specs:
+        write_chart_files(out, spec, *render_chart(spec))
     _write_run_record(out, "gen-charts",
                       {"seed": args.seed, "charts": args.charts})
     print(f"wrote {args.charts} charts under {chart_dir}")
@@ -205,9 +216,7 @@ def cmd_gen_charts(args) -> int:
 
 
 def _read_specs(out: Path) -> list:
-    """The chart specs under out's chart directory, in file name order;
-    each must have its SVG and geometry file beside it, and nothing else
-    may sit there, as the dataset's manifest would not list it."""
+    """The chart specs under out's chart directory, in file name order."""
     chart_dir = out / CHART_DIR
     if not chart_dir.is_dir():
         raise ConfigError(f"no charts/ directory under {out}; "
@@ -217,41 +226,24 @@ def _read_specs(out: Path) -> list:
              if name.endswith(".json") and not name.endswith(".geom.json")]
     if not specs:
         raise ConfigError(f"no chart files under {chart_dir}")
-    staged = {f"{spec.chart_id}{ext}" for spec in specs
-              for ext in (".json", ".svg", ".geom.json")}
-    stray = [name for name in names if name not in staged]
-    if stray:
-        raise ConfigError(f"{chart_dir / stray[0]}: not the spec, svg or "
-                          f"geometry file of a staged chart")
-    for spec in specs:
-        for ext in (".svg", ".geom.json"):
-            if not (chart_dir / f"{spec.chart_id}{ext}").is_file():
-                raise ConfigError(f"chart {spec.chart_id} is missing its "
-                                  f"svg or geometry file")
     return specs
 
 
 def cmd_build_dataset(args) -> int:
-    """gen-qa and build-dataset: phrase questions for charts read from
-    --out (gen-qa) or sampled here (build-dataset), then write the
+    """gen-qa and build-dataset: phrase questions for chart specs read
+    from --out (gen-qa) or sampled here (build-dataset), then write the
     dataset.  Every spec is read or sampled first; then each chart in
-    chart_id order is rendered (or read), given its questions and
-    written before the next, except that an LLM build holds every chart
-    while it sends all its question requests at once."""
+    chart_id order is rendered, given its questions and written before
+    the next, except that an LLM build holds every chart while it sends
+    all its question requests at once."""
     _validate_gen_args(args)
     out = Path(args.out)
     if args.command == "gen-qa":
         specs = _read_specs(out)
         args.charts = len(specs)
-
-        def draw(spec):  # the SVG and geometry stored beside the spec
-            svg_path = out / CHART_DIR / f"{spec.chart_id}.svg"
-            return (_parse(str, svg_path.read_bytes(), svg_path),
-                    read_chart_file(out, f"{CHART_DIR}/{spec.chart_id}.geom.json"))
     else:
         specs = [_sample_spec(args.seed, i) for i in range(args.charts)]
-        draw = render_chart
-    _check_chart_ids(specs)
+    _check_charts(out, specs)
     test_ids = ()
     if args.holdout:
         _, test_ids = split_holdout([spec.chart_id for spec in specs],
@@ -261,7 +253,7 @@ def cmd_build_dataset(args) -> int:
     if args.mode == "llm":
         # asked in the order the specs were drawn, which the review
         # queue's row order follows; written in chart_id order
-        charts = [(spec, *draw(spec)) for spec in specs]
+        charts = [(spec, *render_chart(spec)) for spec in specs]
         items, review_rows = _build_llm_items(charts, args)
         by_chart: dict[str, list[QAItem]] = {}
         for item in items:
@@ -273,7 +265,7 @@ def cmd_build_dataset(args) -> int:
     else:
         review_rows = []
         specs.sort(key=lambda spec: spec.chart_id)
-        charts = ((spec, *draw(spec)) for spec in specs)
+        charts = ((spec, *render_chart(spec)) for spec in specs)
         gen_config = GenConfig(
             per_chart=args.per_chart,
             family_weights=args.weights or DEFAULT_FAMILY_WEIGHTS,

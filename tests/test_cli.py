@@ -8,6 +8,7 @@ import sys
 import textwrap
 import tracemalloc
 from dataclasses import replace
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from perceptqa.charts import dumps_chart, loads_chart
 from perceptqa.cli import main
 from perceptqa.errors import InvariantError, StoreError
 from perceptqa.reasoning import format_trace
-from perceptqa.render import dumps_geom, loads_geom
+from perceptqa.render import dumps_geom, loads_geom, render_chart
 from perceptqa.store import load_dataset
 
 from support import src_env
@@ -159,7 +160,6 @@ def _short_first_row(spec):
 
 @pytest.mark.parametrize("victim, damage, problem", [
     pytest.param(".json", '["x"]', "malformed", id=".json"),
-    pytest.param(".geom.json", '["x"]', "malformed", id=".geom.json"),
     pytest.param(".json", _short_first_row,
                  "malformed (SpecValidationError: chart spec invalid: "
                  "values: row 0 has", id="short-row"),
@@ -168,7 +168,7 @@ def _short_first_row(spec):
                  "kind: unknown kind 'donut')", id="unknown-kind"),
     pytest.param(".json", "renamed.json", "chart_id", id="renamed"),
     pytest.param(".geom.json", "renamed.geom.json", "not the spec, svg or "
-                 "geometry file of a staged chart", id="stray"),
+                 "geometry file of a chart this run writes", id="stray"),
 ])
 def test_gen_qa_rejects_a_malformed_chart_file(tmp_path, capsys, victim,
                                                damage, problem):
@@ -191,6 +191,116 @@ def test_gen_qa_rejects_a_malformed_chart_file(tmp_path, capsys, victim,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: {problem}")
     assert err.count("\n") == 1
+
+
+def _specs(chart_dir: Path) -> list:
+    return [loads_chart(path.read_text("utf-8"))
+            for path in sorted(chart_dir.glob("*.json"))
+            if not path.name.endswith(".geom.json")]
+
+
+def _edit_first_bar(chart_dir: Path) -> None:
+    """Delta, the first bar of a horizontal bar chart, goes from 93.4 to
+    5.5 in the spec; the staged SVG still draws 93.4."""
+    path = chart_dir / "chart-3759443264181245019.json"
+    spec = loads_chart(path.read_text("utf-8"))
+    first, *rest = spec.table.values
+    assert first[0] == Decimal("93.4")
+    values = ((Decimal("5.5"), *first[1:]), *rest)
+    path.write_text(dumps_chart(replace(
+        spec, table=replace(spec.table, values=values))), "utf-8")
+
+
+def _swap_line_geometry(chart_dir: Path) -> None:
+    """The 6-category line chart's geometry, its chart id edited to
+    match, over the 10-category line chart's."""
+    lines = {len(spec.table.categories): spec.chart_id
+             for spec in _specs(chart_dir) if spec.kind == "line"}
+    geom = loads_geom(
+        (chart_dir / f"{lines[6]}.geom.json").read_text("utf-8"))
+    (chart_dir / f"{lines[10]}.geom.json").write_text(
+        dumps_geom(replace(geom, chart_id=lines[10])), "utf-8")
+
+
+def _first(chart_dir: Path, ext: str) -> Path:
+    return chart_dir / f"{_specs(chart_dir)[0].chart_id}{ext}"
+
+
+@pytest.mark.parametrize("damage, as_clean", [
+    pytest.param(_edit_first_bar, False, id="edited-spec"),
+    pytest.param(_swap_line_geometry, True, id="swapped-geometry"),
+    pytest.param(lambda d: _first(d, ".geom.json").write_text(
+        '["x"]', "utf-8"), True, id="malformed-geometry"),
+    pytest.param(lambda d: _first(d, ".svg").unlink(), True,
+                 id="deleted-svg"),
+])
+def test_gen_qa_renders_its_staged_specs(tmp_path, damage, as_clean):
+    """gen-qa reads only the staged specs: it renders each chart's SVG
+    and geometry as build-dataset does, so the image it writes always
+    shows the table its gold answers are computed from, and a staged SVG
+    or geometry file that disagrees with its spec is replaced."""
+    manifests = []
+    for name in ("clean", "damaged"):
+        out = tmp_path / name
+        assert main(["gen-charts", "--seed", "3", "--charts", "6",
+                     "--out", str(out)]) == 0
+        if name == "damaged":
+            damage(out / "charts")
+        assert main(["gen-qa", "--seed", "7", "--per-chart", "10",
+                     "--out", str(out)]) == 0
+        manifests.append((out / "manifest.json").read_bytes())
+    chart_dir = out / "charts"
+    for spec in _specs(chart_dir):
+        svg, geom = render_chart(spec)
+        base = chart_dir / spec.chart_id
+        assert Path(f"{base}.svg").read_bytes() == svg.encode("utf-8")
+        assert (Path(f"{base}.geom.json").read_bytes()
+                == dumps_geom(geom).encode("utf-8"))
+    load_dataset(out)
+    assert (manifests[0] == manifests[1]) is as_clean
+
+
+def test_gen_qa_parses_no_svg_or_geometry(tmp_path, monkeypatch):
+    out = tmp_path / "staged"
+    assert main(["gen-charts", "--seed", "1", "--charts", "2",
+                 "--out", str(out)]) == 0
+
+    def refuse(text):
+        raise AssertionError("a staged geometry file was parsed")
+
+    monkeypatch.setattr(store, "loads_geom", refuse)
+    assert main(["gen-qa", "--seed", "1", "--per-chart", "3",
+                 "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("command", ["gen-charts", "build-dataset"])
+@pytest.mark.parametrize("rerun", ["same", "fewer-charts", "another-seed",
+                                   "leftover-tmp"])
+def test_chart_writers_refuse_another_runs_chart_files(tmp_path, capsys,
+                                                       command, rerun):
+    """A run into a directory whose charts/ holds files it would not
+    write ends in one error line and writes nothing; a rerun with the
+    same arguments succeeds and leaves the same bytes."""
+    out = tmp_path / "out"
+    qa = ["--per-chart", "2"] if command == "build-dataset" else []
+    argv = [command, "--seed", "3", "--charts", "4", *qa, "--out", str(out)]
+    assert main(argv) == 0
+    if rerun == "fewer-charts":
+        argv[argv.index("--charts") + 1] = "2"
+    elif rerun == "another-seed":
+        argv[argv.index("--seed") + 1] = "4"
+    elif rerun == "leftover-tmp":
+        (out / "charts" / "left.json.1-2.tmp").write_text("x", "utf-8")
+    before = _tree_bytes(out)
+    capsys.readouterr()
+    assert main(argv) == (0 if rerun == "same" else 1)
+    err = capsys.readouterr().err
+    if rerun != "same":
+        assert err.startswith(f"error: {out / 'charts'}/")
+        assert ": not the spec, svg or geometry file of a chart this run " \
+               "writes" in err
+        assert err.count("\n") == 1
+    assert _tree_bytes(out) == before
 
 
 def _stage_named_charts(out: Path, names) -> None:
