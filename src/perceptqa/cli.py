@@ -16,6 +16,7 @@ import json
 import sys
 from contextlib import ExitStack
 from dataclasses import replace
+from itertools import islice
 from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -59,6 +60,9 @@ from .reasoning import load_lexicon
 from .render import render_chart
 from .store import (
     CHART_DIR,
+    MANIFEST_NAME,
+    QA_DIR,
+    REVIEW_NAME,
     AtomicFile,
     DatasetReader,
     _atomic_write,
@@ -159,14 +163,15 @@ def _validate_gen_args(args) -> None:
             raise ConfigError("--mode llm requires --model")
 
 
-def _check_charts(out: Path, specs) -> None:
+def _check_out(out: Path, specs) -> None:
     """Refuse, before anything is written, chart ids that streaming
-    cannot write in the order the family files keep, and any file under
-    out's chart directory but the spec, SVG and geometry files of specs,
-    which the dataset's manifest would not list.  Rows are appended
-    chart by chart, which is qa_id order unless one chart id extends
-    another with "-" (or a character sorting before it): the rows of
-    "a-b" sort before those of "a"."""
+    cannot write in the order the family files keep, and any file that
+    the dataset's manifest would not list: under out's chart directory
+    any but the spec, SVG and geometry files of specs, and under its qa/
+    directory any but the family files.  Rows are appended chart by
+    chart, which is qa_id order unless one chart id extends another with
+    "-" (or a character sorting before it): the rows of "a-b" sort
+    before those of "a"."""
     ids = sorted(spec.chart_id for spec in specs)
     for a, b in zip(ids, ids[1:]):
         if a == b:
@@ -176,15 +181,20 @@ def _check_charts(out: Path, specs) -> None:
                 f"chart id {b!r} extends chart id {a!r} with {b[len(a)]!r}, "
                 f"so their question ids would not sort in chart order; "
                 f"rename one of them")
-    chart_dir = out / CHART_DIR
-    if chart_dir.is_dir():
-        names = {f"{chart_id}{ext}" for chart_id in ids
-                 for ext in (".json", ".svg", ".geom.json")}
-        stray = sorted(path.name for path in chart_dir.iterdir()
-                       if path.name not in names)
-        if stray:
-            raise ConfigError(f"{chart_dir / stray[0]}: not the spec, svg "
-                              f"or geometry file of a chart this run writes")
+    allowed = {
+        CHART_DIR: ({f"{chart_id}{ext}" for chart_id in ids
+                     for ext in (".json", ".svg", ".geom.json")},
+                    "the spec, svg or geometry file of a chart"),
+        QA_DIR: ({f"{fam}.jsonl" for fam in FAMILIES}, "a family file"),
+    }
+    for sub, (names, what) in allowed.items():
+        sub_dir = out / sub
+        if sub_dir.is_dir():
+            stray = sorted(path.name for path in sub_dir.iterdir()
+                           if path.name not in names)
+            if stray:
+                raise ConfigError(f"{sub_dir / stray[0]}: not {what} "
+                                  f"this run writes")
 
 
 def _with_split(charts, items_of, held):
@@ -204,7 +214,7 @@ def _with_split(charts, items_of, held):
 def cmd_gen_charts(args) -> int:
     out = Path(args.out)
     specs = [_sample_spec(args.seed, i) for i in range(args.charts)]
-    _check_charts(out, specs)
+    _check_out(out, specs)
     chart_dir = out / CHART_DIR
     make_dir(chart_dir)
     for spec in specs:
@@ -243,7 +253,7 @@ def cmd_build_dataset(args) -> int:
         args.charts = len(specs)
     else:
         specs = [_sample_spec(args.seed, i) for i in range(args.charts)]
-    _check_charts(out, specs)
+    _check_out(out, specs)
     test_ids = ()
     if args.holdout:
         _, test_ids = split_holdout([spec.chart_id for spec in specs],
@@ -538,28 +548,65 @@ def _read_predictions(path: Path) -> dict:
             for row in _read_rows(path, "predictions")}
 
 
+def _check_paths(outputs: dict, inputs: dict) -> None:
+    """Refuse, before anything is read, an output path that is another
+    output of the same command, or one of its inputs, or lies under one.
+    Both map a name to a path; an output is named by its option, and is
+    None when not given.  Paths are compared resolved, so a symlink or
+    another spelling of the same path is caught too."""
+    taken = {Path(path).resolve(): what for what, path in inputs.items()}
+    for option, path in outputs.items():
+        if path is None:
+            continue
+        resolved = Path(path).resolve()
+        clash = next((what for other, what in taken.items()
+                      if resolved.is_relative_to(other)), None)
+        if clash:
+            raise ConfigError(f"{path}: {option} is {clash}")
+        taken[resolved] = f"the {option} file"
+
+
+# items scored per block in evaluate: the block is pulled from the merged
+# family files, then scored and its rows written in one call.  On seed-7
+# workloads, blocks of 32 read 0.93-0.95x the wall of scoring item by
+# item; 64 read the same as 32, and 256 read slower with +1 MB peak RSS.
+_SCORE_BLOCK = 32
+
+
 def _scored(items, preds: dict, mode: str, out, tally: dict):
-    """Score each item against its prediction, popped from preds, and
-    write its outcome row to out; yield (family, outcome) for aggregate.
+    """Score the items against their predictions, popped from preds, in
+    blocks of _SCORE_BLOCK: read a block from items, score it and write
+    its outcome rows to out; yield (family, outcome) for aggregate.
     tally["missing"] counts the items that had no prediction."""
-    for item in items:
-        pred = preds.pop(item.qa_id, None)
-        if pred is None:
-            tally["missing"] += 1
-            pred = ""
-        outcome = score_item(pred, item, mode)
-        row = {"family": item.family}
-        row.update(outcome_to_dict(outcome))
-        out.write(_jsonl_line(row))
-        yield item.family, outcome
+    items = iter(items)
+    while block := list(islice(items, _SCORE_BLOCK)):
+        scored = []
+        for item in block:
+            pred = preds.pop(item.qa_id, None)
+            if pred is None:
+                tally["missing"] += 1
+                pred = ""
+            scored.append((item.family, score_item(pred, item, mode)))
+        out.write(b"".join(
+            _jsonl_line({"family": family, **outcome_to_dict(outcome)})
+            for family, outcome in scored))
+        yield from scored
 
 
 def cmd_evaluate(args) -> int:
-    """Score a predictions file item by item.  The family files are
-    merged in qa_id order, each item is scored and its outcome written as
-    it is read, and the outcomes and report land only once every dataset
-    file has passed its checks."""
-    reader = DatasetReader(args.dataset)
+    """Score a predictions file in blocks of items.  The family files are
+    merged in qa_id order, each block is scored and its outcomes written
+    as it is read, and the outcomes and report land only once every
+    dataset file has passed its checks."""
+    dataset = Path(args.dataset)
+    _check_paths(
+        {"--out": args.out, "--report": args.report},
+        {"the --predictions file": args.predictions,
+         **{f"the dataset's {name}": dataset / name
+            for name in (MANIFEST_NAME, REVIEW_NAME)},
+         **{f"under the dataset's {sub}/": dataset / sub
+            for sub in (CHART_DIR, QA_DIR)}})
+    reader = DatasetReader(dataset)
     # scoring reads no chart file and the reader takes the chart ids from
     # the manifest, so the chart files are only checked against their
     # digests, not parsed
@@ -603,6 +650,8 @@ def _outcomes_from_file(path: Path):
 
 
 def cmd_report(args) -> int:
+    _check_paths({"--json": args.json},
+                 {"the --outcomes file": args.outcomes})
     report = aggregate(_outcomes_from_file(Path(args.outcomes)),
                        list(FAMILIES))
     if args.json:
@@ -612,6 +661,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_label(args) -> int:
+    _check_paths({"--accepted": args.accepted, "--review": args.review},
+                 {"the --pairs file": args.pairs})
     accepted_rows = []
     review_rows = []
     for row in _read_rows(Path(args.pairs), "pairs"):

@@ -129,11 +129,19 @@ def _patterns() -> tuple:
                  for kind in ("logic", "perception"))
 
 
+# Distinct sub-questions repeat: on the seed-7 planted traces a dot
+# evaluation classifies ~19.5k sub-questions with 1,854 distinct texts
+# (sparse) and ~16.5k with 1,313 (dense).  256 labels serve 84% (sparse)
+# and 89% (dense) of the calls; 4,096 read no faster and held ~0.2 MB more.
+_CLASSIFY_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_CLASSIFY_CACHE_SIZE)
 def classify_subquestion(text: str) -> str:
     """Tag a sub-question as perception (reads the chart) or logic
     (operates on values already read).  Markers match as whole words in
     any case; logic markers take precedence; unmatched text defaults to
-    logic."""
+    logic.  Labels are memoized: the lexicon is fixed per process."""
     folded = _fold(text)
     for kind, pattern in _patterns():
         if pattern is not None and pattern.search(folded):
@@ -204,19 +212,22 @@ def validate_trace_text(
     the format contract even if a trace could still be assembled.
     """
     violations: list[TraceViolation] = []
-    lines = [ln.rstrip() for ln in text.replace("\r\n", "\n").split("\n")]
-    lines = [ln for ln in lines if ln.strip()]
+    # right-stripped, non-blank lines: a line's rstrip() is empty exactly
+    # when its strip() is, and the header tests below need only lstrip()
+    lines = [ln for ln in map(str.rstrip,
+                              text.replace("\r\n", "\n").split("\n")) if ln]
+    n = len(lines)
 
     if _has_forbidden(text):
         violations.append(TraceViolation("forbidden_word", "found 'table'"))
 
     pos = 0
-    if pos < len(lines) and lines[pos].strip() == OPENING_LINE:
+    if pos < n and lines[pos].lstrip() == OPENING_LINE:
         pos += 1
     else:
         violations.append(TraceViolation(
             "missing_question_phase", "opening line absent"))
-    if pos < len(lines) and lines[pos].strip() == QUESTION_HEADER:
+    if pos < n and lines[pos].lstrip() == QUESTION_HEADER:
         pos += 1
     else:
         violations.append(TraceViolation(
@@ -224,7 +235,7 @@ def validate_trace_text(
 
     questions: list[str] = []
     q_numbers: list[int] = []
-    while pos < len(lines):
+    while pos < n:
         m = _Q_LINE.match(lines[pos])
         if not m:
             break
@@ -234,11 +245,11 @@ def validate_trace_text(
 
     # The divider is optional in model output and tolerated on either
     # side of the header; only the header itself is required.
-    if pos < len(lines) and lines[pos].strip() == DIVIDER:
+    if pos < n and lines[pos].lstrip() == DIVIDER:
         pos += 1
-    if pos < len(lines) and lines[pos].strip() == SOLUTION_HEADER:
+    if pos < n and lines[pos].lstrip() == SOLUTION_HEADER:
         pos += 1
-        if pos < len(lines) and lines[pos].strip() == DIVIDER:
+        if pos < n and lines[pos].lstrip() == DIVIDER:
             pos += 1
     else:
         violations.append(TraceViolation(
@@ -246,16 +257,14 @@ def validate_trace_text(
 
     answers: list[str] = []
     a_numbers: list[int] = []
-    while pos < len(lines):
-        m = _A_LINE.match(lines[pos])
-        if not m:
+    for line in lines[pos:]:
+        m = _A_LINE.match(line)
+        if m:
+            a_numbers.append(int(m.group(1)))
+            answers.append(m.group(2))
+        else:
             violations.append(TraceViolation(
-                "bad_numbering", f"unexpected line {lines[pos]!r}"))
-            pos += 1
-            continue
-        a_numbers.append(int(m.group(1)))
-        answers.append(m.group(2))
-        pos += 1
+                "bad_numbering", f"unexpected line {line!r}"))
 
     if not questions:
         violations.append(TraceViolation(

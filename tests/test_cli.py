@@ -9,6 +9,7 @@ import textwrap
 import tracemalloc
 from dataclasses import replace
 from decimal import Decimal
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -18,9 +19,16 @@ import perceptqa.store as store
 from perceptqa.charts import dumps_chart, loads_chart
 from perceptqa.cli import main
 from perceptqa.errors import InvariantError, StoreError
+from perceptqa.metrics import (
+    aggregate,
+    outcome_to_dict,
+    report_to_json,
+    score_item,
+)
+from perceptqa.queries import FAMILIES
 from perceptqa.reasoning import format_trace
 from perceptqa.render import dumps_geom, loads_geom, render_chart
-from perceptqa.store import load_dataset
+from perceptqa.store import load_dataset, write_dataset
 
 from support import src_env
 
@@ -301,6 +309,38 @@ def test_chart_writers_refuse_another_runs_chart_files(tmp_path, capsys,
                "writes" in err
         assert err.count("\n") == 1
     assert _tree_bytes(out) == before
+
+
+@pytest.mark.parametrize("command", ["gen-charts", "gen-qa",
+                                     "build-dataset"])
+@pytest.mark.parametrize("stray", [None, "position.jsonl.1-2.tmp",
+                                   "notes.txt"])
+def test_writers_refuse_a_stray_file_under_qa(tmp_path, capsys, command,
+                                              stray):
+    """The manifest lists only the four family files under qa/, so a run
+    into a directory whose qa/ holds any other file ends in one error
+    line and writes nothing; over a clean dataset the same run succeeds."""
+    out = tmp_path / "out"
+    argv = {
+        "gen-charts": ["gen-charts", "--seed", "3", "--charts", "2"],
+        "gen-qa": ["gen-qa", "--seed", "3", "--per-chart", "2"],
+        "build-dataset": ["build-dataset", "--seed", "3", "--charts", "2",
+                          "--per-chart", "2"],
+    }[command] + ["--out", str(out)]
+    assert main(["build-dataset", "--seed", "3", "--charts", "2",
+                 "--per-chart", "2", "--out", str(out)]) == 0
+    if stray is not None:
+        (out / "qa" / stray).write_text("x", "utf-8")
+    before = _tree_bytes(out)
+    capsys.readouterr()
+    assert main(argv) == (0 if stray is None else 1)
+    err = capsys.readouterr().err
+    if stray is None:
+        load_dataset(out)
+    else:
+        assert _tree_bytes(out) == before
+        assert err == (f"error: {out / 'qa' / stray}: not a family file "
+                       f"this run writes\n")
 
 
 def _stage_named_charts(out: Path, names) -> None:
@@ -667,6 +707,117 @@ def test_evaluate_and_report_bytes_are_pinned(built, tmp_path, monkeypatch,
                        "dot": ["9746e07488a3b96c", "f04b3081f7e9b27a"]}[mode]
 
 
+@pytest.fixture(scope="module")
+def blocks_source(tmp_path_factory):
+    """A dataset of more than two scoring blocks, to cut smaller ones
+    from."""
+    out = tmp_path_factory.mktemp("blocks") / "ds"
+    assert main(["build-dataset", "--seed", "3", "--charts", "10",
+                 "--per-chart", "8", "--out", str(out)]) == 0
+    ds = load_dataset(out)
+    assert len(ds.items) > 2 * cli._SCORE_BLOCK
+    return out, ds
+
+
+def _planted(items, mode: str) -> dict:
+    """qa_id -> prediction: a third right, a third wrong (a bare answer
+    in dot mode), a third missing."""
+    right = (lambda i: i.answer) if mode == "short" else (
+        lambda i: format_trace(i.trace))
+    wrong = (lambda i: "0") if mode == "short" else (lambda i: i.answer)
+    return {i.qa_id: (right, wrong)[k % 3](i)
+            for k, i in enumerate(items) if k % 3 < 2}
+
+
+@pytest.mark.parametrize("mode", ["short", "dot"])
+@pytest.mark.parametrize("size", ["1", "B-1", "B", "B+1"])
+def test_evaluate_scores_each_block_as_its_items_alone(blocks_source,
+                                                       tmp_path, mode, size):
+    """Datasets of 1, B-1, B and B+1 items, B the scoring block: the
+    outcome rows and report equal scoring each item alone."""
+    src, ds = blocks_source
+    n = {"1": 1, "B-1": cli._SCORE_BLOCK - 1, "B": cli._SCORE_BLOCK,
+         "B+1": cli._SCORE_BLOCK + 1}[size]
+    kept = sorted(ds.items, key=attrgetter("qa_id"))[:n]
+    out = tmp_path / "ds"
+    write_dataset(
+        out, dataset_id="ds-blocks",
+        charts=((ds.charts[cid],
+                 (src / "charts" / f"{cid}.svg").read_text("utf-8"),
+                 ds.geoms[cid], [i for i in kept if i.chart_id == cid])
+                for cid in sorted(ds.charts)),
+        holdout_chart_ids=ds.manifest.holdout_chart_ids,
+        config_digest="0" * 64, tool_version="test")
+    planted = _planted(kept, mode)
+    preds = tmp_path / "preds.jsonl"
+    _write_jsonl(preds, [{"qa_id": qa_id, "prediction": pred}
+                         for qa_id, pred in planted.items()])
+    outcomes, report = tmp_path / "outcomes.jsonl", tmp_path / "report.json"
+    assert main(["evaluate", "--dataset", str(out), "--predictions",
+                 str(preds), "--mode", mode, "--out", str(outcomes),
+                 "--report", str(report)]) == 0
+    alone = [(i.family, score_item(planted.get(i.qa_id, ""), i, mode))
+             for i in kept]
+    assert outcomes.read_text("utf-8") == "".join(
+        json.dumps({"family": family, **outcome_to_dict(outcome)}) + "\n"
+        for family, outcome in alone)
+    assert report.read_text("utf-8") == report_to_json(
+        aggregate(alone, list(FAMILIES)))
+
+
+def test_evaluate_that_fails_in_its_second_block_writes_nothing(
+        blocks_source, tmp_path, capsys, monkeypatch):
+    """A malformed row in the middle of the second block ends evaluate
+    with one error line after the first block was scored, and leaves
+    neither output behind."""
+    src, ds = blocks_source
+    block = cli._SCORE_BLOCK
+    merged = sorted(ds.items, key=attrgetter("qa_id"))
+
+    def family_before(k):
+        return max((j for j in range(k) if merged[j].family
+                    == merged[k].family), default=-1)
+
+    # the merge reads a family's next row as it yields the one before, so
+    # the bad row's predecessor must fall after the first block's last pull
+    k = next(k for k in range(block + block // 2, 2 * block)
+             if family_before(k) >= block - 1)
+    bad = merged[k]
+    out = tmp_path / "ds"
+    shutil.copytree(src, out)
+    rel = f"qa/{bad.family}.jsonl"
+    path = out / rel
+    lines = path.read_text("utf-8").splitlines(keepends=True)
+    n = next(n for n, line in enumerate(lines)
+             if json.loads(line)["qa_id"] == bad.qa_id)
+    row = json.loads(lines[n])
+    del row["question"]
+    lines[n] = json.dumps(row) + "\n"
+    path.write_text("".join(lines), "utf-8")
+    # the manifest vouches for the edit, so the row itself is what fails
+    manifest = json.loads((out / "manifest.json").read_text("utf-8"))
+    manifest["file_digests"][rel] = hashlib.sha256(
+        path.read_bytes()).hexdigest()
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n",
+                                       "utf-8")
+    scored = []
+    monkeypatch.setattr(cli, "score_item",
+                        lambda *args: scored.append(args) or score_item(*args))
+    preds = tmp_path / "preds.jsonl"
+    _write_jsonl(preds, [{"qa_id": i.qa_id, "prediction": i.answer}
+                         for i in merged])
+    outcomes, report = tmp_path / "outcomes.jsonl", tmp_path / "report.json"
+    capsys.readouterr()
+    assert main(["evaluate", "--dataset", str(out), "--predictions",
+                 str(preds), "--out", str(outcomes),
+                 "--report", str(report)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}:{n + 1}: malformed (KeyError: 'question')\n")
+    assert len(scored) == block
+    assert not outcomes.exists() and not report.exists()
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
 @pytest.mark.parametrize("value, kind", [(None, "null"), (True, "a boolean"),
                                          ([1], "an array"),
                                          ({"a": 1}, "an object")])
@@ -740,6 +891,84 @@ def test_unwritable_output_path_is_one_error_line(built, tmp_path, capsys,
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: cannot write {bad}: {reason}\n"
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("case", [
+    "evaluate --out is --report", "evaluate --out is --predictions",
+    "evaluate --report is the manifest", "evaluate --out is the review queue",
+    "evaluate --out is a family file", "evaluate --report under qa/",
+    "evaluate --out under charts/", "evaluate --out through a symlink",
+    "report --json is --outcomes", "label --accepted is --review",
+    "label --review is --pairs"])
+def test_output_path_that_names_another_file_is_refused(built, tmp_path,
+                                                        capsys, case):
+    """An output that is another output of the same command, one of its
+    inputs or a file of the evaluated dataset is refused, by resolved
+    path, with one error line before anything is read or written."""
+    built_out, ds = built
+    out = tmp_path / "ds"
+    shutil.copytree(built_out, out)
+    preds = tmp_path / "preds.jsonl"
+    _write_jsonl(preds, [{"qa_id": i.qa_id, "prediction": i.answer}
+                         for i in ds.items])
+    outcomes = tmp_path / "outcomes.jsonl"
+    _write_jsonl(outcomes, [_OUTCOME])
+    pairs = tmp_path / "pairs.jsonl"
+    _write_jsonl(pairs, [_PAIR])
+    (tmp_path / "link").symlink_to(tmp_path)
+    evaluate = ["evaluate", "--dataset", str(out), "--predictions",
+                str(preds)]
+    same = tmp_path / "same.json"
+    chart_svg = out / "charts" / f"{min(ds.charts)}.svg"
+    argv, path, message = {
+        "evaluate --out is --report": (
+            evaluate + ["--out", str(same), "--report", str(same)],
+            same, "--report is the --out file"),
+        "evaluate --out is --predictions": (
+            evaluate + ["--out", str(preds)],
+            preds, "--out is the --predictions file"),
+        "evaluate --report is the manifest": (
+            evaluate + ["--out", str(same),
+                        "--report", str(out / "manifest.json")],
+            out / "manifest.json",
+            "--report is the dataset's manifest.json"),
+        "evaluate --out is the review queue": (
+            evaluate + ["--out", str(out / "review_queue.jsonl")],
+            out / "review_queue.jsonl",
+            "--out is the dataset's review_queue.jsonl"),
+        "evaluate --out is a family file": (
+            evaluate + ["--out", str(out / "qa" / "extract.jsonl")],
+            out / "qa" / "extract.jsonl",
+            "--out is under the dataset's qa/"),
+        "evaluate --report under qa/": (
+            evaluate + ["--out", str(same),
+                        "--report", str(out / "qa" / "report.json")],
+            out / "qa" / "report.json",
+            "--report is under the dataset's qa/"),
+        "evaluate --out under charts/": (
+            evaluate + ["--out", str(chart_svg)],
+            chart_svg, "--out is under the dataset's charts/"),
+        "evaluate --out through a symlink": (
+            evaluate + ["--out", str(tmp_path / "link" / "preds.jsonl")],
+            tmp_path / "link" / "preds.jsonl",
+            "--out is the --predictions file"),
+        "report --json is --outcomes": (
+            ["report", "--outcomes", str(outcomes), "--json", str(outcomes)],
+            outcomes, "--json is the --outcomes file"),
+        "label --accepted is --review": (
+            ["label", "--pairs", str(pairs), "--accepted", str(same),
+             "--review", str(same)],
+            same, "--review is the --accepted file"),
+        "label --review is --pairs": (
+            ["label", "--pairs", str(pairs), "--accepted",
+             str(tmp_path / "a.jsonl"), "--review", str(pairs)],
+            pairs, "--review is the --pairs file"),
+    }[case]
+    before = _tree_bytes(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert _tree_bytes(tmp_path) == before
 
 
 def test_report_shows_placeholder_for_absent_families(tmp_path, capsys):

@@ -2,6 +2,7 @@ import re
 import string
 import sys
 from decimal import Decimal
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from perceptqa.charts import (
     sample_chart_spec,
 )
 from perceptqa.errors import InvariantError, TraceFormatError
+from perceptqa.qagen import GenConfig, generate_items
 from perceptqa import reasoning
 from perceptqa.queries import (
     ByExtreme,
@@ -26,8 +28,13 @@ from perceptqa.queries import (
     oracle_eval,
 )
 from perceptqa.reasoning import (
+    DIVIDER,
+    OPENING_LINE,
+    QUESTION_HEADER,
+    SOLUTION_HEADER,
     ReasoningTrace,
     SubQuestion,
+    TraceViolation,
     build_trace,
     classify_subquestion,
     format_trace,
@@ -39,6 +46,8 @@ from perceptqa.reasoning import (
     validate_trace_text,
 )
 from perceptqa.render import render_chart
+
+from support import chart_pool
 
 VALID = """Let's break down this problem.
 Question Phase:
@@ -284,6 +293,173 @@ def test_no_final_answer():
 def test_parse_trace_raises_on_first_violation():
     with pytest.raises(TraceFormatError):
         parse_trace(VALID.replace("Question Phase:\n", ""))
+
+
+def _reference_validate(text):
+    """validate_trace_text as it was before it cleaned its lines in one
+    pass, with the classifier called uncached."""
+    violations = []
+    lines = [ln.rstrip() for ln in text.replace("\r\n", "\n").split("\n")]
+    lines = [ln for ln in lines if ln.strip()]
+    if reasoning._has_forbidden(text):
+        violations.append(TraceViolation("forbidden_word", "found 'table'"))
+    pos = 0
+    if pos < len(lines) and lines[pos].strip() == OPENING_LINE:
+        pos += 1
+    else:
+        violations.append(TraceViolation(
+            "missing_question_phase", "opening line absent"))
+    if pos < len(lines) and lines[pos].strip() == QUESTION_HEADER:
+        pos += 1
+    else:
+        violations.append(TraceViolation(
+            "missing_question_phase", "question header absent"))
+    questions, q_numbers = [], []
+    while pos < len(lines):
+        m = reasoning._Q_LINE.match(lines[pos])
+        if not m:
+            break
+        q_numbers.append(int(m.group(1)))
+        questions.append(m.group(2))
+        pos += 1
+    if pos < len(lines) and lines[pos].strip() == DIVIDER:
+        pos += 1
+    if pos < len(lines) and lines[pos].strip() == SOLUTION_HEADER:
+        pos += 1
+        if pos < len(lines) and lines[pos].strip() == DIVIDER:
+            pos += 1
+    else:
+        violations.append(TraceViolation(
+            "missing_solution_phase", "solution header absent"))
+    answers, a_numbers = [], []
+    while pos < len(lines):
+        m = reasoning._A_LINE.match(lines[pos])
+        if not m:
+            violations.append(TraceViolation(
+                "bad_numbering", f"unexpected line {lines[pos]!r}"))
+            pos += 1
+            continue
+        a_numbers.append(int(m.group(1)))
+        answers.append(m.group(2))
+        pos += 1
+    if not questions:
+        violations.append(TraceViolation(
+            "missing_question_phase", "no numbered sub-questions"))
+    if q_numbers != list(range(1, len(q_numbers) + 1)):
+        violations.append(TraceViolation(
+            "bad_numbering", f"question numbers run {q_numbers}"))
+    if a_numbers and a_numbers != list(range(1, len(a_numbers) + 1)):
+        violations.append(TraceViolation(
+            "bad_numbering", f"solution numbers run {a_numbers}"))
+    if len(questions) != len(answers):
+        violations.append(TraceViolation(
+            "count_mismatch",
+            f"{len(questions)} sub-questions, {len(answers)} solutions"))
+    if answers and not reasoning._FINAL_RE.match(answers[-1]):
+        violations.append(TraceViolation(
+            "no_final_answer",
+            "last solution line lacks the final-answer prefix"))
+    kinds = [classify_subquestion.__wrapped__(q) for q in questions]
+    seen_logic = False
+    for q, kind in zip(questions, kinds):
+        if kind == "logic":
+            seen_logic = True
+        elif seen_logic:
+            violations.append(TraceViolation(
+                "logic_before_perception",
+                f"perception question {q!r} follows a logic question"))
+            break
+    if violations:
+        return None, violations
+    subs = tuple(SubQuestion(i + 1, kinds[i], questions[i], answers[i])
+                 for i in range(len(questions)))
+    final = reasoning._FINAL_RE.sub("", answers[-1]).strip()
+    return ReasoningTrace(subs=subs, final=final), []
+
+
+@cache
+def _generated_traces() -> tuple[str, ...]:
+    items, _ = generate_items(chart_pool(8), GenConfig(per_chart=6))
+    return tuple(format_trace(item.trace) for item in items)
+
+
+_Q_NUMBERED = re.compile(r"^\d+\. ")
+
+
+def _mutate(lines: list, name: str, i: int, j: int, piece: str) -> None:
+    """Edit a trace's lines in place: i and j pick lines or offsets, and
+    piece is a blank, a pad or a spelling of "table"."""
+    at = i % len(lines)
+    line = lines[at]
+    if name == "blank":
+        lines.insert(i % (len(lines) + 1), "" if piece.strip() else piece)
+    elif name == "lead":
+        lines[at] = piece + line
+    elif name == "trail":
+        lines[at] = line + piece
+    elif name == "lone_cr":
+        lines[at] = f"{line[:j]}\r{line[j:]}"
+    elif name == "table":
+        lines[at] = f"{line[:j]} {piece} {line[j:]}"
+    elif name == "drop":
+        del lines[at]
+    elif name == "duplicate":
+        lines.insert(at, line)
+    elif name == "swap":
+        other = j % len(lines)
+        lines[at], lines[other] = lines[other], line
+    elif name == "renumber":
+        lines[at] = re.sub(r"^\d+", str(j % 12), line)
+    elif name == "late_perception":
+        # the first question, a perception one, trades texts with the
+        # last, a logic one
+        qs = [k for k, text in enumerate(lines) if _Q_NUMBERED.match(text)]
+        if len(qs) > 1:
+            (head_f, _, text_f), (head_l, _, text_l) = (
+                lines[qs[0]].partition(" "), lines[qs[-1]].partition(" "))
+            lines[qs[0]], lines[qs[-1]] = (f"{head_f} {text_l}",
+                                           f"{head_l} {text_f}")
+
+
+_MUTATIONS = ("blank", "lead", "trail", "lone_cr", "table", "drop",
+              "duplicate", "swap", "renumber", "late_perception")
+
+
+_MUTATION = st.tuples(
+    st.sampled_from(_MUTATIONS), st.integers(0, 99),
+    st.integers(0, 99),
+    st.sampled_from(["", " ", "\t", "\f", "\u00a0", "\u3000", " \u00a0 ",
+                     "table", "Table", "TABLE", "tAbLe", "timetable"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(k=st.integers(0, 10**6), mutations=st.lists(_MUTATION, max_size=4),
+       joiner=st.sampled_from(["\n", "\r\n"]))
+def test_validate_matches_the_two_pass_reference(k, mutations, joiner):
+    traces = _generated_traces()
+    lines = traces[k % len(traces)].split("\n")
+    for mutation in mutations:
+        if lines:
+            _mutate(lines, *mutation)
+    text = joiner.join(lines)
+    assert validate_trace_text(text) == _reference_validate(text)
+
+
+def test_classifier_cache_is_bounded_and_agrees_with_the_classifier():
+    maxsize = classify_subquestion.cache_info().maxsize
+    assert maxsize is not None
+    assert maxsize == reasoning._CLASSIFY_CACHE_SIZE
+    lex = load_lexicon()
+    texts = [text for kind in ("logic", "perception") for marker in lex[kind]
+             for text in (marker, marker.upper(), f"Now {marker} here?")]
+    # twice as many distinct texts as the cache holds, read twice: labels
+    # come both from hits and from entries evicted and computed again
+    texts += [f"What value is shown for item {n}?"
+              for n in range(2 * maxsize)]
+    for _ in range(2):
+        for text in texts:
+            assert classify_subquestion(text) == \
+                classify_subquestion.__wrapped__(text), text
 
 
 # ---------------------------------------------------------------------------
